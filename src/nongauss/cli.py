@@ -327,7 +327,8 @@ def cmd_analyze(args):
     name, model = _build_model(args.criterion, counts.kind, args)
     p_success, p_error = estimate_click_probabilities(counts)
     threshold = float(model.value(p_error.value))
-    certified = p_success.value > threshold
+    # a zero error rate has no measurable distance, so it cannot certify
+    certified = p_error.value > 0.0 and p_success.value > threshold
 
     distance = None
     distance_note = None

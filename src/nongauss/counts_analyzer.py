@@ -136,13 +136,13 @@ class SigmaDistance:
     components: dict
 
 
-def sigma_distance(p_success, p_error, model, sigma_eta=0.0):
-    """How many combined standard deviations the point clears the threshold.
+def uncertainty_budget(model, p_success, p_error, sigma_eta=0.0):
+    """Threshold at the measured error rate and its combined uncertainty.
 
-    The uncertainty budget adds, in quadrature: the success estimate's
-    sigma, the error estimate's sigma mapped through the threshold
-    slope, and the efficiency uncertainty mapped through the model's
-    efficiency sensitivity.  Positive distance means certified.
+    The budget adds, in quadrature: the success estimate's sigma, the
+    error estimate's sigma mapped through the threshold slope, and the
+    efficiency uncertainty mapped through the model's efficiency
+    sensitivity.  Returns (threshold, components, sigma_total).
     """
     if p_error.value <= 0.0:
         raise DomainError(
@@ -152,25 +152,34 @@ def sigma_distance(p_success, p_error, model, sigma_eta=0.0):
     from_success = p_success.sigma
     from_error = abs(float(model.slope(p_error.value))) * p_error.sigma
     if sigma_eta:
-        if not hasattr(model, "eta_sensitivity"):
-            raise DomainError(
-                "threshold model cannot propagate an efficiency uncertainty"
-            )
         from_eta = abs(float(model.eta_sensitivity(p_error.value))) * sigma_eta
     else:
         from_eta = 0.0
     sigma_total = math.sqrt(from_success**2 + from_error**2 + from_eta**2)
     if sigma_total == 0.0:
         raise DomainError("all uncertainty components vanish; distance undefined")
+    components = {
+        "from_p_success": from_success,
+        "from_p_error": from_error,
+        "from_eta": from_eta,
+    }
+    return threshold, components, sigma_total
+
+
+def sigma_distance(p_success, p_error, model, sigma_eta=0.0):
+    """How many combined standard deviations the point clears the threshold.
+
+    The denominator is uncertainty_budget's sigma_total.  Positive
+    distance means certified.
+    """
+    threshold, components, sigma_total = uncertainty_budget(
+        model, p_success, p_error, sigma_eta
+    )
     return SigmaDistance(
         value=(p_success.value - threshold) / sigma_total,
         threshold_value=threshold,
         sigma_total=sigma_total,
-        components={
-            "from_p_success": from_success,
-            "from_p_error": from_error,
-            "from_eta": from_eta,
-        },
+        components=components,
     )
 
 
@@ -398,13 +407,11 @@ def depth_fit(scan, model, sigma_eta=0.0, sigma_level=1.0, tau_floor=1e-6):
         ps, pe = trajectory(tau)
         sigma_ps = ps * math.sqrt(1.0 / (c_success * tau**slope_s) + rel_rate**2)
         sigma_pe = pe * math.sqrt(1.0 / (c_error * tau**slope_e) + rel_rate**2)
-        from_error = abs(float(model.slope(pe))) * sigma_pe
-        if sigma_eta:
-            from_eta = abs(float(model.eta_sensitivity(pe))) * sigma_eta
-        else:
-            from_eta = 0.0
-        sigma_total = math.sqrt(sigma_ps**2 + from_error**2 + from_eta**2)
-        return ps - float(model.value(pe)) - sigma_level * sigma_total
+        threshold, _, sigma_total = uncertainty_budget(
+            model, ProbabilityEstimate(ps, sigma_ps),
+            ProbabilityEstimate(pe, sigma_pe), sigma_eta,
+        )
+        return ps - threshold - sigma_level * sigma_total
 
     n_success_photons = 2 if counts.kind == "pair" else 1
     fit_meta = {

@@ -77,6 +77,13 @@ def _field(doc, path, name, kind):
         raise FormatError(
             f"{path}: field {name!r}: expected {wanted}, got {type(value).__name__}"
         )
+    return _finite(path, name, value)
+
+
+def _finite(path, name, value):
+    # json.load accepts the non-standard literals Infinity and NaN
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FormatError(f"{path}: field {name!r}: must be finite")
     return value
 
 
@@ -106,10 +113,14 @@ def read_counts_json(path):
     for name in ("duration_s", "generation_rate_hz", "success_count",
                  "error_count_a"):
         fields[name] = _field(doc, path, name, (int, float))
-    error_b = doc.get("error_count_b")
+    error_b = _finite(path, "error_count_b", doc.get("error_count_b"))
+    rate_sigma = _finite(path, "generation_rate_sigma_hz",
+                         doc.get("generation_rate_sigma_hz", 0.0))
     singles = doc.get("singles")
     if singles is not None and not isinstance(singles, dict):
         raise FormatError(f"{path}: field 'singles': expected object")
+    for name, value in (singles or {}).items():
+        _finite(path, f"singles.{name}", value)
     try:
         return CountSummary(
             kind=kind,
@@ -118,7 +129,7 @@ def read_counts_json(path):
             success_count=fields["success_count"],
             error_count_a=fields["error_count_a"],
             error_count_b=error_b,
-            generation_rate_sigma_hz=doc.get("generation_rate_sigma_hz", 0.0),
+            generation_rate_sigma_hz=rate_sigma,
             singles=singles,
             meta=doc.get("meta") or {},
         )

@@ -369,8 +369,19 @@ def _curve_from_optima(kind, eta, t_bs, n_modes, optima, config, gaps=()):
     )
 
 
+class _CubeRootModel:
+    """Boundary p_success = cbrt(coefficient * p_error), shared by the
+    cube-root closed forms."""
+
+    def value(self, p_error):
+        return np.cbrt(self.coefficient * np.asarray(p_error, dtype=float))
+
+    def slope(self, p_error):
+        return self.value(p_error) / (3.0 * np.asarray(p_error, dtype=float))
+
+
 @dataclass(frozen=True)
-class SinglePhotonThresholdModel:
+class SinglePhotonThresholdModel(_CubeRootModel):
     """Small-rate single-photon boundary in closed form.
 
     At low rates the best Gaussian state obeys
@@ -387,12 +398,6 @@ class SinglePhotonThresholdModel:
     @property
     def coefficient(self):
         return self.eta / (4.0 * (2.0 - self.eta))
-
-    def value(self, p_error):
-        return np.cbrt(self.coefficient * np.asarray(p_error, dtype=float))
-
-    def slope(self, p_error):
-        return self.value(p_error) / (3.0 * np.asarray(p_error, dtype=float))
 
     def eta_sensitivity(self, p_error):
         dc = 1.0 / (2.0 * (2.0 - self.eta) ** 2)
@@ -431,12 +436,13 @@ class PairThresholdModel:
 
 
 @dataclass(frozen=True)
-class SplitterThresholdModel:
+class SplitterThresholdModel(_CubeRootModel):
     """Loss-free splitter bound mapped to the success axis.
 
     Depends only on the splitting ratio; use it when the detection
     efficiency is absorbed into the measured rates rather than modeled.
-    It has no efficiency sensitivity by construction.
+    It has no efficiency sensitivity by construction, so it refuses an
+    efficiency uncertainty.
     """
 
     t_bs: float = 0.5
@@ -449,45 +455,7 @@ class SplitterThresholdModel:
     def coefficient(self):
         return self.t_bs**2 / (2.0 * (1.0 - self.t_bs))
 
-    def value(self, p_error):
-        return np.cbrt(self.coefficient * np.asarray(p_error, dtype=float))
-
-    def slope(self, p_error):
-        return self.value(p_error) / (3.0 * np.asarray(p_error, dtype=float))
-
-
-def approx_single_threshold(p_error, eta):
-    """Closed-form small-rate single-photon success threshold."""
-    return SinglePhotonThresholdModel(eta).value(p_error)
-
-
-def asymptotic_pair_threshold(p_error, eta):
-    """Closed-form small-rate pair success threshold."""
-    return PairThresholdModel(eta).value(p_error)
-
-
-def simple_bs_criterion(p_success, t_bs=0.5):
-    """Lossless splitter bound: the double-click floor of any Gaussian state.
-
-    Returns the error probability below which a source with the given
-    success probability cannot be Gaussian, assuming no loss.
-    """
-    if not (0.0 < t_bs < 1.0):
-        raise DomainError(f"t_bs must lie in (0, 1), got {t_bs}")
-    p = np.asarray(p_success, dtype=float)
-    return 2.0 * (1.0 - t_bs) * p**3 / t_bs**2
-
-
-def finite_difference_eta_sensitivity(curve_lo, curve_hi):
-    """Numeric d(threshold)/d(eta) from two curves at nearby efficiencies.
-
-    Returns a callable over the overlap of the two supports.
-    """
-    d_eta = curve_hi.eta - curve_lo.eta
-    if d_eta <= 0:
-        raise DomainError("curves must be ordered by increasing eta")
-
-    def sensitivity(p_error):
-        return (curve_hi.value(p_error) - curve_lo.value(p_error)) / d_eta
-
-    return sensitivity
+    def eta_sensitivity(self, p_error):
+        raise DomainError(
+            "threshold model cannot propagate an efficiency uncertainty"
+        )

@@ -115,18 +115,34 @@ def test_analyze_singles_simple_bs(tmp_path):
 
 
 def test_analyze_zero_counts_not_certified(tmp_path):
-    counts_path = tmp_path / "zero.json"
-    write_counts_json(counts_path, CountSummary(
-        kind="pair", duration_s=10.0, generation_rate_hz=1e6,
-        success_count=0, error_count_a=0, error_count_b=0))
-    out = tmp_path / "zero"
-    code = main(["analyze", "--counts", str(counts_path), "--eta", "0.5",
-                 "--out", str(out)])
-    assert code == 2
+    # no error counts: no distance, hence no certificate, whatever the successes
+    for success_count in (0, 1000):
+        counts_path = tmp_path / f"zero{success_count}.json"
+        write_counts_json(counts_path, CountSummary(
+            kind="pair", duration_s=10.0, generation_rate_hz=1e6,
+            success_count=success_count, error_count_a=0, error_count_b=0))
+        out = tmp_path / f"zero{success_count}"
+        code = main(["analyze", "--counts", str(counts_path), "--eta", "0.5",
+                     "--out", str(out)])
+        assert code == 2
+        report = read_report_json(f"{out}_report.json")
+        assert report["certified"] is False
+        assert report["sigma_distance"] is None
+        assert report["sigma_distance_note"]
+
+
+def test_analyze_splitter_refuses_sigma_eta(tmp_path):
+    counts_path = tmp_path / "single.json"
+    write_counts_json(counts_path, SINGLE_COUNTS)
+    out = tmp_path / "single"
+    code = main(["analyze", "--counts", str(counts_path), "--eta", "0.1467",
+                 "--sigma-eta", "0.0034", "--out", str(out)])
     report = read_report_json(f"{out}_report.json")
-    assert report["certified"] is False
+    assert report["criterion"]["name"] == "simple-bs"
+    assert code == (0 if report["certified"] else 2)
     assert report["sigma_distance"] is None
-    assert report["sigma_distance_note"]
+    assert "efficiency uncertainty" in report["sigma_distance_note"]
+    assert report["depth"]["status"] == "fit_failed"
 
 
 def test_analyze_malformed_counts(tmp_path, capsys):

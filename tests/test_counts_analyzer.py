@@ -229,6 +229,12 @@ def test_depth_fit_pair_reference():
     )
     assert res.fit_meta["slope_success"] == pytest.approx(2.0, abs=1e-9)
     assert res.fit_meta["slope_error"] == pytest.approx(2.0, abs=1e-9)
+    # the unattenuated end of the fit carries the same budget as the verdict
+    d = sigma_distance(*estimate_click_probabilities(PAIR_COUNTS),
+                       PairThresholdModel(0.1467), sigma_eta=0.0034)
+    assert res.fit_meta["gap_at_unity"] == pytest.approx(
+        (d.value - res.fit_meta["sigma_level"]) * d.sigma_total, rel=1e-12
+    )
 
 
 def test_depth_fit_single_reference():
@@ -257,6 +263,10 @@ def test_depth_fit_guards():
     scan = attenuation_scan(PAIR_COUNTS, a_max=0.06, step=0.02)
     with pytest.raises(DomainError):
         depth_fit(scan, PairThresholdModel(0.1467))
+    # a splitter-only model cannot absorb an efficiency uncertainty
+    with pytest.raises(DomainError):
+        depth_fit(attenuation_scan(SINGLE_COUNTS), SplitterThresholdModel(0.5166),
+                  sigma_eta=0.0034)
 
 
 def test_scan_type_validation():

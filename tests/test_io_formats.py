@@ -82,6 +82,22 @@ def test_counts_missing_field_named(tmp_path):
         read_counts_json(path)
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+@pytest.mark.parametrize("field", ["duration_s", "error_count_b",
+                                   "generation_rate_sigma_hz", "singles.a1"])
+def test_counts_non_finite_field_named(tmp_path, field, literal):
+    path = tmp_path / "counts.json"
+    write_counts_json(path, PAIR_COUNTS)
+    text = path.read_text()
+    key = field.split(".")[-1]
+    value = PAIR_COUNTS.singles[key] if "." in field else getattr(PAIR_COUNTS, key)
+    old = f'"{key}": {value}'
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, f'"{key}": {literal}'))
+    with pytest.raises(FormatError, match=rf"field '{field}': must be finite"):
+        read_counts_json(path)
+
+
 def test_counts_wrong_schema(tmp_path):
     path = tmp_path / "counts.json"
     path.write_text('{"schema": "something-else", "schema_version": 1}')

@@ -8,13 +8,9 @@ from nongauss.threshold_solver import (
     SinglePhotonThresholdModel,
     SplitterThresholdModel,
     ThresholdCurve,
-    approx_single_threshold,
-    asymptotic_pair_threshold,
-    finite_difference_eta_sensitivity,
     maximize_pair_rate,
     maximize_single_rate,
     pair_threshold_curve,
-    simple_bs_criterion,
     single_threshold_curve,
 )
 
@@ -41,7 +37,6 @@ def test_pair_model_closed_form():
     pe = 2.926e-8
     first = 0.5 * 0.1467 * np.sqrt(pe)
     assert model.value(pe) == pytest.approx(first + model.curvature * pe, rel=1e-12)
-    assert asymptotic_pair_threshold(pe, 0.1467) == pytest.approx(model.value(pe))
     h = 1e-6
     num_slope = (model.value(pe * (1 + h)) - model.value(pe * (1 - h))) / (2 * h * pe)
     assert model.slope(pe) == pytest.approx(num_slope, rel=1e-6)
@@ -52,16 +47,23 @@ def test_pair_model_closed_form():
 
 
 def test_splitter_bound_round_trip():
-    assert simple_bs_criterion(1e-3, 0.5) == pytest.approx(4e-9, rel=1e-12)
-    model = SplitterThresholdModel(0.5166)
+    # lossless double-click floor: p_error = 2 (1 - t) p_success**3 / t**2
+    assert SplitterThresholdModel(0.5).value(4e-9) == pytest.approx(1e-3, rel=1e-12)
+    t = 0.5166
+    model = SplitterThresholdModel(t)
     for p in (1e-4, 1e-2):
-        assert model.value(simple_bs_criterion(p, 0.5166)) == pytest.approx(p, rel=1e-12)
+        floor = 2.0 * (1.0 - t) * p**3 / t**2
+        assert model.value(floor) == pytest.approx(p, rel=1e-12)
+        assert model.slope(floor) == pytest.approx(p / (3.0 * floor), rel=1e-12)
     # balanced splitter without loss reproduces the single-photon model
     assert SplitterThresholdModel(0.5).coefficient == pytest.approx(
         SinglePhotonThresholdModel(1.0).coefficient
     )
     with pytest.raises(DomainError):
-        simple_bs_criterion(1e-3, 1.0)
+        SplitterThresholdModel(1.0)
+    # the bound has no efficiency to be uncertain about
+    with pytest.raises(DomainError):
+        model.eta_sensitivity(1e-8)
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.5])
@@ -91,7 +93,9 @@ def test_single_curve_sweep():
     assert np.all(np.diff(curve.p_error) > 0)
     assert np.all(curve.residuals <= cfg.residual_tol)
     pe = 1e-9
-    assert curve.value(pe) == pytest.approx(approx_single_threshold(pe, 0.5), rel=0.02)
+    assert curve.value(pe) == pytest.approx(
+        SinglePhotonThresholdModel(0.5).value(pe), rel=0.02
+    )
     assert curve.slope(pe) > 0
     with pytest.raises(DomainError):
         curve.value(1e3 * curve.p_error[-1])
@@ -123,12 +127,11 @@ def test_finite_difference_eta_sensitivity():
             np.zeros(pe.size), tuple({} for _ in pe),
         )
 
+    # difference quotient between curves at eta +- delta
     lo, hi = curve_from_model(0.49), curve_from_model(0.51)
-    sens = finite_difference_eta_sensitivity(lo, hi)
+    sens = (hi.value(1e-7) - lo.value(1e-7)) / (hi.eta - lo.eta)
     expected = PairThresholdModel(0.5).eta_sensitivity(1e-7)
-    assert sens(1e-7) == pytest.approx(float(expected), rel=1e-3)
-    with pytest.raises(DomainError):
-        finite_difference_eta_sensitivity(hi, lo)
+    assert sens == pytest.approx(float(expected), rel=1e-3)
 
 
 def test_solver_error_paths():
