@@ -43,7 +43,6 @@ from .photon_statistics import (
     multimode_pair_click_probs,
     poisson_pair_click_probs,
     single_photon_click_probs,
-    tmsv_pair_click_probs,
     tmsv_pair_click_probs_series,
 )
 from .source_simulator import (
@@ -503,7 +502,7 @@ def _check_tmsv_series(args):
         for eta in (0.3, 0.8):
             for dark in (0.0, 1e-4):
                 cfg = DetectionConfig(eta=eta, t_bs=0.5, dark_count_prob=dark)
-                a = tmsv_pair_click_probs(mu, cfg)
+                a = multimode_pair_click_probs(ModeEnsemble((mu,)), cfg)
                 b = tmsv_pair_click_probs_series(mu, cfg)
                 worst = max(worst,
                             abs(a.p_success - b.p_success) / b.p_success,
@@ -516,14 +515,14 @@ def _check_tmsv_series(args):
 
 def _check_multimode_reduction(args):
     cfg = DetectionConfig(eta=0.42, t_bs=0.5)
-    one = tmsv_pair_click_probs(0.2, cfg)
-    many = multimode_pair_click_probs(ModeEnsemble.uniform(0.2, 1), cfg)
+    one = tmsv_pair_click_probs_series(0.2, cfg)
+    many = multimode_pair_click_probs(ModeEnsemble((0.2, 0.0, 0.0)), cfg)
     worst = max(abs(one.p_success - many.p_success) / one.p_success,
                 abs(one.p_error - many.p_error) / one.p_error)
     bound = 1e-12
     return {"name": "multimode-reduces-to-tmsv", "status":
             "pass" if worst <= bound else "fail", "metric": worst,
-            "bound": bound, "note": "single-mode ensemble equals closed form"}
+            "bound": bound, "note": "zero-padded ensemble equals the series sum"}
 
 
 def _check_poisson_limit(args):

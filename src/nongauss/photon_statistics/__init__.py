@@ -23,7 +23,6 @@ from .fock_oracle import (
 from .pair_formulas import (
     multimode_pair_click_probs,
     poisson_pair_click_probs,
-    tmsv_pair_click_probs,
     tmsv_pair_click_probs_series,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "number_distribution",
     "poisson_pair_click_probs",
     "single_photon_click_probs",
-    "tmsv_pair_click_probs",
     "tmsv_pair_click_probs_series",
     "to_covariance",
 ]

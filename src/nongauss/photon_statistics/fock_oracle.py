@@ -10,8 +10,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..errors import PrecisionError
-from .gaussian import compose_dark_counts
-from .types import ClickProbabilities, DetectionConfig
+from .gaussian import _splitter_click_probs
+from .types import DetectionConfig
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -86,12 +86,7 @@ def click_probs_from_number_distribution(probs, config=DetectionConfig()):
     q1 = pgf(1.0 - config.eta * config.t_bs)
     q2 = pgf(1.0 - config.eta * (1.0 - config.t_bs))
     q12 = pgf(1.0 - config.eta)
-    q1, q2, q12 = compose_dark_counts(q1, q2, q12, config.dark_count_prob)
-    return ClickProbabilities(
-        p_success=min(max(1.0 - q1, 0.0), 1.0),
-        p_error=min(max(1.0 - q1 - q2 + q12, 0.0), 1.0),
-        meta={"q_success": q1, "q_other": q2, "q_both": q12, "method": "fock"},
-    )
+    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob, "fock")
 
 
 def fock_oracle_click_probs(params, config=DetectionConfig(), cutoff=None,

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
+from .pair_formulas import _with_dark
 from .types import ClickProbabilities, CovarianceForm, DetectionConfig, GaussianStateParams
 
 
@@ -92,12 +93,6 @@ def no_click_after_loss(params, kappa, mathmod=math):
     return 2.0 * mathmod.exp(-quad) / mathmod.sqrt(ax * ap)
 
 
-def compose_dark_counts(q_success, q_other, q_both, dark_count_prob):
-    """Fold independent dark clicks into no-click probabilities."""
-    keep = 1.0 - dark_count_prob
-    return q_success * keep, q_other * keep, q_both * keep * keep
-
-
 def single_photon_click_probs(params, config=DetectionConfig(), method="covariance"):
     """Click statistics of a state sent through loss and a splitter.
 
@@ -116,9 +111,18 @@ def single_photon_click_probs(params, config=DetectionConfig(), method="covarian
         q12 = no_click_after_loss(params, config.eta)
     else:
         raise DomainError(f"unknown method {method!r}")
-    q1, q2, q12 = compose_dark_counts(q1, q2, q12, config.dark_count_prob)
-    p_success = 1.0 - q1
-    p_error = 1.0 - q1 - q2 + q12
+    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob, method)
+
+
+def _splitter_click_probs(q1, q2, q12, dark, method):
+    """Click statistics from the dark-free no-click probabilities.
+
+    q1 and q2 belong to the transmitted and reflected detector, q12 to
+    both at once.  Dark clicks follow the pair kernel's rule.
+    """
+    p1 = 1.0 - q1
+    p_success = p1 + dark * q1  # one detector: 1 - (1 - dark) q1
+    p_error = _with_dark(p1 - q2 + q12, p1, 1.0 - q2, 1.0 - q12, dark)
     # Tiny negative values can appear from rounding when p_error ~ 1e-17.
     return ClickProbabilities(
         p_success=min(max(p_success, 0.0), 1.0),

@@ -31,8 +31,6 @@ def _with_dark(p_coinc, p_any_1, p_any_2, p_any_both, dark):
     probabilities of each detector alone and of their union.  Dark
     clicks are independent with probability `dark` per detector.
     """
-    if dark == 0.0:
-        return p_coinc
     # 1 - k q1 - k q2 + k^2 q12 expanded around the dark-free value,
     # with k = 1 - dark and q's the no-click complements.
     return (
@@ -40,41 +38,6 @@ def _with_dark(p_coinc, p_any_1, p_any_2, p_any_both, dark):
         + dark * (2.0 * p_any_both - p_any_1 - p_any_2)
         + dark * dark * (1.0 - p_any_both)
     )
-
-
-def tmsv_pair_click_probs(mu, config=DetectionConfig()):
-    """Success and error coincidence probabilities of a single pair mode.
-
-    Cancellation-free rational forms in mu and the detector
-    transmissions; exact for any mu in [0, 1).
-    """
-    _check_mu(mu)
-    eta, ta, tb = config.eta, config.t_bs, config.t_bs_b
-    dark = config.dark_count_prob
-
-    x1, x2 = 1.0 - eta * ta, 1.0 - eta * tb
-    x3 = x1 * x2
-    p_s = (
-        mu * (1.0 - x1) * (1.0 - x2) * (1.0 - mu * mu * x3)
-        / ((1.0 - mu * x1) * (1.0 - mu * x2) * (1.0 - mu * x3))
-    )
-    p_s = _with_dark(p_s, _click_one(mu, x1), _click_one(mu, x2), _click_one(mu, x3), dark)
-
-    def error_arm(t):
-        a, b, c = 1.0 - eta * t, 1.0 - eta * (1.0 - t), 1.0 - eta
-        p = (
-            mu * mu * (1.0 - a) * (1.0 - b) * (2.0 - mu * (a + b))
-            / ((1.0 - mu * a) * (1.0 - mu * b) * (1.0 - mu * c))
-        )
-        return _with_dark(p, _click_one(mu, a), _click_one(mu, b), _click_one(mu, c), dark)
-
-    p_e = 0.5 * (error_arm(ta) + error_arm(tb))
-    return ClickProbabilities(p_s, p_e, meta={"mu": mu, "n_modes": 1})
-
-
-def _click_one(mu, x):
-    # 1 - Q(x) for a single geometric mode, stable for small mu.
-    return mu * (1.0 - x) / (1.0 - mu * x)
 
 
 def _click_any(mus, x):
@@ -95,25 +58,23 @@ def _correlated_excess(mus, qc, qab, diff):
     return float(np.sum(pref * diff * suff))
 
 
-def multimode_pair_click_probs(ensemble, config=DetectionConfig()):
-    """Coincidence probabilities for independent pair modes.
+def multimode_click_rates(mus, eta, ta, tb, dark=0.0):
+    """(p_success, p_error) of independent pair modes, one brightness each.
 
-    Generalizes tmsv_pair_click_probs to an ensemble of modes with
-    individual brightness; a detector responds to photons from any
-    mode.  Reduces to the single-mode result for one mode.
+    The one pair kernel: a detector responds to photons from any mode,
+    and one mode is the single two-mode squeezed vacuum.  Dark clicks
+    with probability `dark` per detector are folded in exactly.
     """
-    if not isinstance(ensemble, ModeEnsemble):
-        ensemble = ModeEnsemble(tuple(ensemble))
-    mus = np.asarray(ensemble.pair_brightness, dtype=float)
-    eta, ta, tb = config.eta, config.t_bs, config.t_bs_b
-    dark = config.dark_count_prob
+    mus = np.asarray(mus, dtype=float)
 
     def coincidence(a, b, c, diff):
         qc = (1.0 - mus) / (1.0 - mus * c)
         qab = (1.0 - mus) ** 2 / ((1.0 - mus * a) * (1.0 - mus * b))
-        p_a, p_b, p_c = _click_any(mus, a), _click_any(mus, b), _click_any(mus, c)
+        p_a, p_b = _click_any(mus, a), _click_any(mus, b)
         p = p_a * p_b + _correlated_excess(mus, qc, qab, diff)
-        return _with_dark(p, p_a, p_b, p_c, dark)
+        if dark:
+            p = _with_dark(p, p_a, p_b, _click_any(mus, c), dark)
+        return p
 
     x1, x2 = 1.0 - eta * ta, 1.0 - eta * tb
     denom_s = (1.0 - mus * x1 * x2) * (1.0 - mus * x1) * (1.0 - mus * x2)
@@ -126,7 +87,20 @@ def multimode_pair_click_probs(ensemble, config=DetectionConfig()):
         diff = (1.0 - mus) * mus * mus * (1.0 - a) * (1.0 - b) / denom
         return coincidence(a, b, c, diff)
 
-    p_e = 0.5 * (error_arm(ta) + error_arm(tb))
+    return p_s, 0.5 * (error_arm(ta) + error_arm(tb))
+
+
+def multimode_pair_click_probs(ensemble, config=DetectionConfig()):
+    """Coincidence probabilities of an ensemble of independent pair modes.
+
+    A one-mode ensemble is the single two-mode squeezed vacuum.
+    """
+    if not isinstance(ensemble, ModeEnsemble):
+        ensemble = ModeEnsemble(tuple(ensemble))
+    p_s, p_e = multimode_click_rates(
+        ensemble.pair_brightness, config.eta, config.t_bs, config.t_bs_b,
+        config.dark_count_prob,
+    )
     return ClickProbabilities(
         min(max(p_s, 0.0), 1.0),
         min(max(p_e, 0.0), 1.0),
@@ -134,32 +108,10 @@ def multimode_pair_click_probs(ensemble, config=DetectionConfig()):
     )
 
 
-def multimode_click_rates(mus, eta, ta, tb):
-    """Raw (p_success, p_error) for optimizer inner loops, no dark counts."""
-    mus = np.asarray(mus, dtype=float)
-
-    x1, x2 = 1.0 - eta * ta, 1.0 - eta * tb
-    denom_s = (1.0 - mus * x1 * x2) * (1.0 - mus * x1) * (1.0 - mus * x2)
-    diff_s = (1.0 - mus) * mus * (1.0 - x1) * (1.0 - x2) / denom_s
-    qc = (1.0 - mus) / (1.0 - mus * x1 * x2)
-    qab = (1.0 - mus) ** 2 / ((1.0 - mus * x1) * (1.0 - mus * x2))
-    p_s = _click_any(mus, x1) * _click_any(mus, x2) + _correlated_excess(mus, qc, qab, diff_s)
-
-    def error_arm(t):
-        a, b, c = 1.0 - eta * t, 1.0 - eta * (1.0 - t), 1.0 - eta
-        denom = (1.0 - mus * c) * (1.0 - mus * a) * (1.0 - mus * b)
-        diff = (1.0 - mus) * mus * mus * (1.0 - a) * (1.0 - b) / denom
-        qc_ = (1.0 - mus) / (1.0 - mus * c)
-        qab_ = (1.0 - mus) ** 2 / ((1.0 - mus * a) * (1.0 - mus * b))
-        return _click_any(mus, a) * _click_any(mus, b) + _correlated_excess(mus, qc_, qab_, diff)
-
-    return p_s, 0.5 * (error_arm(ta) + error_arm(tb))
-
-
 def tmsv_pair_click_probs_series(mu, config=DetectionConfig(), tail_tol=1e-18):
     """Oracle route: direct truncated sum over the pair number.
 
-    Shares no algebra with the rational forms.  The truncation point is
+    Shares no algebra with multimode_click_rates.  The truncation point is
     chosen so the neglected geometric tail is below tail_tol.
     """
     _check_mu(mu)

@@ -169,11 +169,13 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, config=OptimizationConfig(),
     )
 
 
-def _pair_objective(alpha, eta, t_bs):
+def _pair_objective(alpha, eta, n_modes, t_bs):
+    # every mode gets the same brightness exp(x): the optimum ensemble
+    # is uniform, so one variable spans the search
     def objective(x):
-        if np.any(x > -1e-9):
+        if x[0] > -1e-9:
             return 1e10
-        mus = np.exp(np.maximum(x, LOG_FLOOR))
+        mus = np.full(n_modes, np.exp(max(x[0], LOG_FLOOR)))
         p_s, p_e = multimode_click_rates(mus, eta, t_bs, t_bs)
         return -(p_s - alpha * p_e)
 
@@ -181,38 +183,35 @@ def _pair_objective(alpha, eta, t_bs):
 
 
 def _pair_seeds(alpha, n_modes, scales, warm_start):
-    # symmetric brightness is optimal; the small-rate stationarity
-    # condition puts it near 1 / (2 alpha (n + 1))
+    # the small-rate stationarity condition puts the shared brightness
+    # near 1 / (2 alpha (n + 1))
     mu0 = 1.0 / (2.0 * alpha * (n_modes + 1.0))
     seeds = []
     if warm_start is not None:
         mus = np.asarray(warm_start["pair_brightness"], dtype=float)
         if np.all(mus > 0):
-            seeds.append(np.log(mus))
+            seeds.append([np.log(mus.mean())])
         scales = (1.0,)
     for fac in scales:
-        seeds.append(np.full(n_modes, np.log(min(mu0 * fac, 0.5))))
-    if warm_start is None and n_modes > 1:
-        lopsided = np.full(n_modes, np.log(mu0 * 0.1))
-        lopsided[0] = np.log(min(0.5, mu0 * n_modes * 5.0))
-        seeds.append(lopsided)
+        seeds.append([np.log(min(mu0 * fac, 0.5))])
     return seeds
 
 
 def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, config=OptimizationConfig(),
                        warm_start=None):
-    """Best ensemble of two-mode squeezed modes at one penalty weight."""
+    """Best ensemble of two-mode squeezed modes at one penalty weight.
+
+    The search runs over one brightness shared by all modes.
+    """
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
     if n_modes < 1:
         raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    objective = _pair_objective(alpha, eta, t_bs)
+    objective = _pair_objective(alpha, eta, n_modes, t_bs)
     seeds = _pair_seeds(alpha, n_modes, config.seed_scales, warm_start)
     maxiter = config.warm_maxiter if warm_start is not None else config.maxiter
-    # simplex iterations needed grow with dimension
-    maxiter = maxiter * max(1, n_modes // 2)
     best, residual = _run_simplex(objective, seeds, config.xatol, maxiter)
-    mus = np.exp(np.maximum(best.x, LOG_FLOOR))
+    mus = np.full(n_modes, np.exp(max(best.x[0], LOG_FLOOR)))
     p_success, p_error = multimode_click_rates(mus, eta, t_bs, t_bs)
     if not np.isfinite(best.fun) or residual > config.residual_tol:
         raise SolverError(
@@ -281,6 +280,12 @@ class ThresholdCurve:
         )
         return float(gamma * t / pe)
 
+    def eta_sensitivity(self, p_error):
+        raise DomainError(
+            "a swept curve has no efficiency sensitivity; it cannot "
+            "propagate an efficiency uncertainty"
+        )
+
 
 def single_threshold_curve(eta, t_bs=0.5, config=OptimizationConfig(),
                            on_error="raise"):
@@ -348,6 +353,7 @@ def _curve_from_optima(kind, eta, t_bs, n_modes, optima, config, gaps=()):
             f"only {len(optima)} of {config.n_points} boundary points solved; "
             "cannot build a curve"
         )
+    search = "nelder-mead" if kind == "single" else "nelder-mead over one shared log-brightness"
     return ThresholdCurve(
         kind=kind,
         eta=eta,
@@ -360,7 +366,7 @@ def _curve_from_optima(kind, eta, t_bs, n_modes, optima, config, gaps=()):
         params=tuple(o.params for o in optima),
         meta={
             "objective": "p_success - alpha * p_error",
-            "optimizer": "nelder-mead, multistart, warm-started sweep",
+            "optimizer": f"{search}, multistart, warm-started sweep",
             "mp_dps": config.mp_dps if kind == "single" else None,
             "alpha_min": config.alpha_min,
             "alpha_max": config.alpha_max,

@@ -16,7 +16,11 @@ from nongauss.counts_analyzer import (
     sigma_distance,
     undersample,
 )
-from nongauss.threshold_solver import PairThresholdModel, SplitterThresholdModel
+from nongauss.threshold_solver import (
+    PairThresholdModel,
+    SplitterThresholdModel,
+    ThresholdCurve,
+)
 
 
 PAIR_COUNTS = CountSummary(
@@ -29,6 +33,7 @@ PAIR_COUNTS = CountSummary(
     generation_rate_sigma_hz=0.12e6,
 )
 
+
 SINGLE_COUNTS = CountSummary(
     kind="single",
     duration_s=1200.0,
@@ -37,6 +42,14 @@ SINGLE_COUNTS = CountSummary(
     error_count_a=7513318,
     generation_rate_sigma_hz=0.25e6,
 )
+
+
+def pair_curve(eta=0.1467):
+    # a swept-curve stand-in built from the closed form
+    pe = np.geomspace(1e-14, 1e-4, 41)
+    return ThresholdCurve("pair", eta, 0.5, 1, np.full(pe.size, np.nan), pe,
+                          PairThresholdModel(eta).value(pe), np.zeros(pe.size),
+                          tuple({} for _ in pe))
 
 
 def test_count_summary_validation():
@@ -128,6 +141,11 @@ def test_sigma_distance_guards():
             SplitterThresholdModel(0.5),
             sigma_eta=0.01,
         )
+    # nor can a swept curve until it carries an efficiency derivative
+    ps, pe = estimate_click_probabilities(PAIR_COUNTS)
+    assert sigma_distance(ps, pe, pair_curve()).value > 0
+    with pytest.raises(DomainError):
+        sigma_distance(ps, pe, pair_curve(), sigma_eta=0.0034)
 
 
 def test_undersample_deterministic_laws():
@@ -267,6 +285,8 @@ def test_depth_fit_guards():
     with pytest.raises(DomainError):
         depth_fit(attenuation_scan(SINGLE_COUNTS), SplitterThresholdModel(0.5166),
                   sigma_eta=0.0034)
+    with pytest.raises(DomainError):
+        depth_fit(attenuation_scan(PAIR_COUNTS), pair_curve(), sigma_eta=0.0034)
 
 
 def test_scan_type_validation():

@@ -6,9 +6,12 @@ from nongauss.photon_statistics import (
     ModeEnsemble,
     multimode_pair_click_probs,
     poisson_pair_click_probs,
-    tmsv_pair_click_probs,
     tmsv_pair_click_probs_series,
 )
+
+
+def tmsv(mu, cfg):
+    return multimode_pair_click_probs(ModeEnsemble((mu,)), cfg)
 
 
 CASES = [
@@ -22,7 +25,7 @@ CASES = [
 
 @pytest.mark.parametrize("mu,cfg", CASES)
 def test_rational_forms_match_series_oracle(mu, cfg):
-    a = tmsv_pair_click_probs(mu, cfg)
+    a = tmsv(mu, cfg)
     b = tmsv_pair_click_probs_series(mu, cfg)
     assert a.p_success == pytest.approx(b.p_success, rel=1e-12, abs=1e-300)
     assert a.p_error == pytest.approx(b.p_error, rel=1e-12, abs=1e-300)
@@ -32,25 +35,26 @@ def test_stability_at_tiny_brightness():
     # naive inclusion-exclusion in doubles dies around 1e-16; the
     # rational form must keep full relative accuracy
     mu, eta = 1e-7, 0.25
-    probs = tmsv_pair_click_probs(mu, DetectionConfig(eta=eta))
+    probs = tmsv(mu, DetectionConfig(eta=eta))
     assert probs.p_error == pytest.approx(2.0 * mu**2 * (eta / 2) ** 2, rel=1e-5)
     assert probs.p_success == pytest.approx(mu * eta**2 / 4, rel=1e-5)
 
 
 def test_error_arm_splitter_symmetry():
     # swapping the two detectors of an arm cannot change its coincidences
-    a = tmsv_pair_click_probs(0.2, DetectionConfig(eta=0.6, t_bs=0.3, t_bs_b=0.3))
-    b = tmsv_pair_click_probs(0.2, DetectionConfig(eta=0.6, t_bs=0.7, t_bs_b=0.7))
+    a = tmsv(0.2, DetectionConfig(eta=0.6, t_bs=0.3, t_bs_b=0.3))
+    b = tmsv(0.2, DetectionConfig(eta=0.6, t_bs=0.7, t_bs_b=0.7))
     assert a.p_error == pytest.approx(b.p_error, rel=1e-13)
 
 
 def test_multimode_reduces_to_single_mode():
+    # modes of zero brightness add nothing: a zero-padded ensemble is one mode
     cfg = DetectionConfig(eta=0.4, t_bs=0.52, t_bs_b=0.5)
     for mu in (1e-5, 0.2, 0.8):
-        a = tmsv_pair_click_probs(mu, cfg)
-        b = multimode_pair_click_probs(ModeEnsemble((mu,)), cfg)
-        assert b.p_success == pytest.approx(a.p_success, rel=1e-13)
-        assert b.p_error == pytest.approx(a.p_error, rel=1e-13)
+        a = tmsv_pair_click_probs_series(mu, cfg)
+        b = multimode_pair_click_probs(ModeEnsemble((0.0, mu, 0.0)), cfg)
+        assert b.p_success == pytest.approx(a.p_success, rel=1e-12)
+        assert b.p_error == pytest.approx(a.p_error, rel=1e-12)
 
 
 def test_multimode_against_plain_products():
@@ -101,19 +105,19 @@ def test_many_modes_approach_poisson_limit():
 def test_dark_counts_cross_check():
     cfg = DetectionConfig(eta=0.3, t_bs=0.5, dark_count_prob=2e-4)
     for mu in (1e-4, 0.25):
-        a = tmsv_pair_click_probs(mu, cfg)
+        a = tmsv(mu, cfg)
         b = tmsv_pair_click_probs_series(mu, cfg)
         assert a.p_success == pytest.approx(b.p_success, rel=1e-9)
         assert a.p_error == pytest.approx(b.p_error, rel=1e-9)
     # dark clicks on vacuum input
-    probs = tmsv_pair_click_probs(0.0, cfg)
+    probs = tmsv(0.0, cfg)
     assert probs.p_success == pytest.approx((2e-4) ** 2, rel=1e-9)
     assert probs.p_error == pytest.approx((2e-4) ** 2, rel=1e-9)
 
 
 def test_multimode_dark_matches_single_mode_dark():
     cfg = DetectionConfig(eta=0.5, dark_count_prob=1e-3)
-    a = tmsv_pair_click_probs(0.15, cfg)
-    b = multimode_pair_click_probs(ModeEnsemble((0.15,)), cfg)
+    a = tmsv(0.15, cfg)
+    b = multimode_pair_click_probs(ModeEnsemble((0.15, 0.0)), cfg)
     assert b.p_success == pytest.approx(a.p_success, rel=1e-12)
     assert b.p_error == pytest.approx(a.p_error, rel=1e-12)

@@ -6,7 +6,7 @@ from nongauss.errors import DomainError
 from nongauss.photon_statistics import (
     DetectionConfig,
     ModeEnsemble,
-    tmsv_pair_click_probs,
+    multimode_pair_click_probs,
 )
 from nongauss.source_simulator import (
     BLOCK,
@@ -44,7 +44,7 @@ def test_tmsv_matches_analytic_probabilities():
     ens = ModeEnsemble.uniform(0.3, 1)
     n = 2_000_000
     run = simulate_multimode_tmsv(ens, det, n, seed=7)
-    exact = tmsv_pair_click_probs(0.3, det)
+    exact = multimode_pair_click_probs(ModeEnsemble((0.3,)), det)
     for observed, p in (
         (run.counts.success_count, exact.p_success),
         (run.counts.error_count_a, exact.p_error),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from nongauss import DomainError, SolverError
+from nongauss.photon_statistics.pair_formulas import multimode_click_rates
 from nongauss.threshold_solver import (
     OptimizationConfig,
     PairThresholdModel,
@@ -86,6 +88,34 @@ def test_pair_optimum_reaches_sqrt_limit():
     assert max(mus) / min(mus) == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha,n_modes", [(3.0, 2), (3.0, 4), (1e2, 4), (1e5, 2)])
+def test_no_lopsided_ensemble_beats_uniform(alpha, n_modes):
+    # multistart simplex over every mode's log-brightness, a lopsided
+    # seed included: it must not beat the one shared brightness
+    eta = 0.1467
+    uniform = maximize_pair_rate(alpha, eta, n_modes=n_modes)
+
+    def objective(x):
+        if np.any(x > -1e-9):
+            return 1e10
+        p_s, p_e = multimode_click_rates(np.exp(np.maximum(x, -690.0)), eta, 0.5, 0.5)
+        return -(p_s - alpha * p_e)
+
+    mu0 = 1.0 / (2.0 * alpha * (n_modes + 1.0))
+    seeds = [np.full(n_modes, np.log(min(mu0 * fac, 0.5))) for fac in (0.5, 1.0, 2.0)]
+    lopsided = np.full(n_modes, np.log(mu0 * 0.1))
+    lopsided[0] = np.log(min(0.5, mu0 * n_modes * 5.0))
+    seeds.append(lopsided)
+    maxiter = 6000 * max(1, n_modes // 2)
+    best = max(
+        -minimize(objective, seed, method="Nelder-Mead",
+                  options=dict(xatol=1e-10, fatol=abs(objective(seed)) * 1e-13,
+                               maxiter=maxiter, maxfev=2 * maxiter)).fun
+        for seed in seeds
+    )
+    assert best <= uniform.objective * (1.0 + 1e-12)
+
+
 def test_single_curve_sweep():
     cfg = OptimizationConfig(alpha_min=1e2, alpha_max=1e8, n_points=7)
     curve = single_threshold_curve(0.5, config=cfg)
@@ -109,6 +139,7 @@ def test_pair_curve_sweep():
     assert curve.value(pe) == pytest.approx(coeff * np.sqrt(pe), rel=0.02)
     assert curve.n_modes == 1
     assert curve.meta["objective"] == "p_success - alpha * p_error"
+    assert "one shared log-brightness" in curve.meta["optimizer"]
 
 
 def test_curve_validation():
