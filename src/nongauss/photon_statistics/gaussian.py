@@ -76,21 +76,24 @@ def no_click_probability(form, modes=None):
     return float(2.0**m / np.sqrt(det) * np.exp(-0.5 * quad))
 
 
-def no_click_after_loss(params, kappa, mathmod=math):
-    """Vacuum-projection probability after transmitting a fraction kappa.
+def no_click_after_loss(params, kappas, mathmod=math):
+    """Vacuum-projection probabilities after transmitting each fraction in kappas.
 
-    Scalar closed form of loss followed by a vacuum overlap; agrees with
-    the covariance pipeline but avoids matrix work.  `mathmod` may be
-    the mpmath module when extra precision is needed downstream.
+    Scalar closed form of loss and a vacuum overlap, one value per kappa,
+    with the state terms computed once.  `mathmod` may be mpmath.
     """
-    if not (0.0 <= kappa <= 1.0):
-        raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
     d, r, theta = params.displacement_amplitude, params.squeezing, params.relative_angle
-    ax = kappa * mathmod.expm1(-2.0 * r) + 2.0
-    ap = kappa * mathmod.expm1(2.0 * r) + 2.0
+    em, ep = mathmod.expm1(-2.0 * r), mathmod.expm1(2.0 * r)
     cos2 = mathmod.cos(theta) ** 2
-    quad = 0.5 * kappa * d * d * (cos2 / ax + (1.0 - cos2) / ap)
-    return 2.0 * mathmod.exp(-quad) / mathmod.sqrt(ax * ap)
+    out = []
+    for kappa in kappas:
+        if not (0.0 <= kappa <= 1.0):
+            raise DomainError(f"kappa must lie in [0, 1], got {kappa}")
+        ax = kappa * em + 2.0
+        ap = kappa * ep + 2.0
+        quad = 0.5 * kappa * d * d * (cos2 / ax + (1.0 - cos2) / ap)
+        out.append(2.0 * mathmod.exp(-quad) / mathmod.sqrt(ax * ap))
+    return tuple(out)
 
 
 def single_photon_click_probs(params, config=DetectionConfig(), method="covariance"):
@@ -106,9 +109,8 @@ def single_photon_click_probs(params, config=DetectionConfig(), method="covarian
         q2 = no_click_probability(split, [1])
         q12 = no_click_probability(split)
     elif method == "scalar":
-        q1 = no_click_after_loss(params, config.eta * config.t_bs)
-        q2 = no_click_after_loss(params, config.eta * (1.0 - config.t_bs))
-        q12 = no_click_after_loss(params, config.eta)
+        eta, t = config.eta, config.t_bs
+        q1, q2, q12 = no_click_after_loss(params, (eta * t, eta * (1.0 - t), eta))
     else:
         raise DomainError(f"unknown method {method!r}")
     return _splitter_click_probs(q1, q2, q12, config.dark_count_prob, method)

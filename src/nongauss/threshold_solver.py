@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 from .errors import DomainError, SolverError
 from .photon_statistics.gaussian import no_click_after_loss
 from .photon_statistics.pair_formulas import multimode_click_rates
-from .photon_statistics.types import GaussianStateParams
+from .photon_statistics.types import DetectionConfig, GaussianStateParams
 
 LOG_FLOOR = -690.0  # exp() underflows to zero a bit below this
 
@@ -84,19 +84,20 @@ def _run_simplex(objective, seeds, xatol, maxiter):
     return best, residual
 
 
-def _single_objective(alpha, eta, t_bs):
+def _single_state(x):
+    log_d, log_r, theta = x
+    return GaussianStateParams(
+        float(np.exp(max(log_d, LOG_FLOOR))),
+        float(np.exp(max(log_r, LOG_FLOOR))),
+        float(theta),
+    )
+
+
+def _single_objective(alpha, kappas):
     def objective(x):
-        log_d, log_r, theta = x
-        if log_d > 3.0 or log_r > 3.0:
+        if x[0] > 3.0 or x[1] > 3.0:
             return 1e10
-        params = GaussianStateParams(
-            float(np.exp(max(log_d, LOG_FLOOR))),
-            float(np.exp(max(log_r, LOG_FLOOR))),
-            float(theta),
-        )
-        q1 = no_click_after_loss(params, eta * t_bs, mathmod=mpmath)
-        q2 = no_click_after_loss(params, eta * (1.0 - t_bs), mathmod=mpmath)
-        q12 = no_click_after_loss(params, eta, mathmod=mpmath)
+        q1, q2, q12 = no_click_after_loss(_single_state(x), kappas, mathmod=mpmath)
         p1 = 1 - q1
         p2 = 1 - q1 - q2 + q12
         return -float(p1 - alpha * p2)
@@ -136,20 +137,14 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, config=OptimizationConfig(),
     """
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
+    kappas = (eta * t_bs, eta * (1.0 - t_bs), eta)
     with mpmath.workdps(config.mp_dps):
-        objective = _single_objective(alpha, eta, t_bs)
+        objective = _single_objective(alpha, kappas)
         seeds = _single_seeds(alpha, eta, t_bs, config.seed_scales, warm_start)
         maxiter = config.warm_maxiter if warm_start is not None else config.maxiter
         best, residual = _run_simplex(objective, seeds, config.xatol, maxiter)
-        log_d, log_r, theta = best.x
-        params = GaussianStateParams(
-            float(np.exp(max(log_d, LOG_FLOOR))),
-            float(np.exp(max(log_r, LOG_FLOOR))),
-            float(theta),
-        ).canonical()
-        q1 = no_click_after_loss(params, eta * t_bs, mathmod=mpmath)
-        q2 = no_click_after_loss(params, eta * (1.0 - t_bs), mathmod=mpmath)
-        q12 = no_click_after_loss(params, eta, mathmod=mpmath)
+        params = _single_state(best.x).canonical()
+        q1, q2, q12 = no_click_after_loss(params, kappas, mathmod=mpmath)
         p_success = float(1 - q1)
         p_error = float(1 - q1 - q2 + q12)
     if not np.isfinite(best.fun) or residual > config.residual_tol:
@@ -294,6 +289,7 @@ def single_threshold_curve(eta, t_bs=0.5, config=OptimizationConfig(),
     on_error "skip" drops points whose solve stalls and records them in
     the curve's meta under "gaps" instead of raising.
     """
+    DetectionConfig(eta, t_bs)  # names a bad eta or t_bs before any solve
     grid = config.alpha_grid()
     # optimum scalings along the sweep: d ~ alpha^(-1/4), r ~ alpha^(-1/2)
     step = grid[1] / grid[0] if grid.size > 1 else 1.0
@@ -324,6 +320,7 @@ def pair_threshold_curve(eta, n_modes=1, t_bs=0.5, config=OptimizationConfig(),
 
     on_error behaves as in single_threshold_curve.
     """
+    DetectionConfig(eta, t_bs)
     grid = config.alpha_grid()
     step = grid[1] / grid[0] if grid.size > 1 else 1.0
     optima = []

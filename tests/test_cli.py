@@ -76,6 +76,21 @@ def test_threshold_rejects_bad_eta(capsys):
     assert "eta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["single", "pair"])
+@pytest.mark.parametrize("flag,value,field", [
+    ("--eta", "1.5", "eta"), ("--eta", "-0.2", "eta"), ("--eta", "nan", "eta"),
+    ("--tbs", "1.0", "t_bs"),
+])
+def test_threshold_sweep_rejects_bad_detection(tmp_path, capsys, mode, flag, value, field):
+    # the swept path checks eta and t_bs before solving any point
+    out = tmp_path / "curve"
+    args = ["threshold", "--mode", mode, "--eta", "0.5", "--n", "2",
+            "--points", "3", "--out", str(out), flag, value]
+    assert main(args) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_threshold_rejects_bad_n(capsys):
     assert main(["threshold", "--mode", "pair", "--eta", "0.5",
                  "--n", "many"]) == 1

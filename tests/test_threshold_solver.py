@@ -116,6 +116,29 @@ def test_no_lopsided_ensemble_beats_uniform(alpha, n_modes):
     assert best <= uniform.objective * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("alpha,eta,expected", [
+    (1.0, 0.5, (0.49715470117485444, 0.2232374552062626, 0.27391724596859185,
+                {"displacement_amplitude": 3.024804754709668,
+                 "squeezing": 0.5349759724988536,
+                 "relative_angle": 3.1415926438758643})),
+    (1e12, 0.5, (1.666669901313014e-07, 5.55557172403619e-20, 1.1111127289093948e-07,
+                 {"displacement_amplitude": 0.0016329942021712702,
+                  "squeezing": 6.666664049757358e-07,
+                  "relative_angle": 4.440789595634348e-12})),
+    (1e4, 0.1467, (0.0008475222161336281, 2.884094485582855e-08, 0.0005591127675753427,
+                   {"displacement_amplitude": 0.2138581426489627,
+                    "squeezing": 0.010994092196243347,
+                    "relative_angle": 6.518313377321006e-10})),
+])
+def test_single_search_path_is_pinned(alpha, eta, expected):
+    # F is flat at the optimum, so any change in the objective's float
+    # values (2**-50 relative in p_error is enough) sends the cold
+    # Nelder-Mead search to another boundary point; these are the exact
+    # results of the 50-digit objective with one kernel call per kappa
+    opt = maximize_single_rate(alpha, eta)
+    assert (opt.p_success, opt.p_error, opt.objective, opt.params) == expected
+
+
 def test_single_curve_sweep():
     cfg = OptimizationConfig(alpha_min=1e2, alpha_max=1e8, n_points=7)
     curve = single_threshold_curve(0.5, config=cfg)
