@@ -53,7 +53,6 @@ from .source_simulator import (
     simulate_single_photon_stream,
 )
 from .threshold_solver import (
-    OptimizationConfig,
     PairThresholdModel,
     SinglePhotonThresholdModel,
     SplitterThresholdModel,
@@ -74,8 +73,6 @@ def _add_detection_flags(sub, eta_default=None):
                      help="overall detection efficiency per photon")
     sub.add_argument("--tbs", type=float, default=0.5,
                      help="arm beamsplitter transmission")
-    sub.add_argument("--tbs-b", type=float, default=None,
-                     help="second-arm transmission (defaults to --tbs)")
 
 
 def build_parser():
@@ -134,6 +131,8 @@ def build_parser():
     sub.add_argument("--pulses", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=None)
     _add_detection_flags(sub, eta_default=0.1467)
+    sub.add_argument("--tbs-b", type=float, default=None,
+                     help="second-arm transmission (defaults to --tbs)")
     sub.add_argument("--rep-rate", type=float, default=80e6)
     sub.add_argument("--emission-prob", type=float, default=0.5)
     sub.add_argument("--blinking", type=float, default=0.566,
@@ -237,6 +236,7 @@ def main(argv=None):
 # ------------------------------------------------------------- threshold
 
 def _closed_form_curve(mode, eta, t_bs):
+    DetectionConfig(eta, t_bs)  # names a bad eta or t_bs before any file
     if mode == "pair":
         model = PairThresholdModel(eta)
     else:
@@ -272,16 +272,12 @@ def cmd_threshold(args):
     if n_modes == "asymptotic":
         curve = _closed_form_curve(args.mode, args.eta, args.tbs)
     else:
-        config = OptimizationConfig(
-            alpha_min=args.alpha_min, alpha_max=args.alpha_max,
-            n_points=args.points,
-        )
+        grid = dict(alpha_min=args.alpha_min, alpha_max=args.alpha_max,
+                    n_points=args.points)
         if args.mode == "single":
-            curve = single_threshold_curve(args.eta, args.tbs, config,
-                                           on_error="skip")
+            curve = single_threshold_curve(args.eta, args.tbs, **grid)
         else:
-            curve = pair_threshold_curve(args.eta, n_modes, args.tbs, config,
-                                         on_error="skip")
+            curve = pair_threshold_curve(args.eta, n_modes, args.tbs, **grid)
     io_formats.write_curve_json(f"{args.out}.json", curve)
     io_formats.write_curve_csv(f"{args.out}.csv", curve)
     gaps = curve.meta.get("gaps", [])

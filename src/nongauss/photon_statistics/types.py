@@ -1,13 +1,13 @@
-"""Value types for Gaussian states, detection setups and click statistics."""
+"""Value types for Gaussian states, detection setups and click statistics.
+
+Quadrature convention: x = a + a*, p = -i(a - a*), vacuum covariance = identity.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import DomainError
-
-# Quadrature convention: x = a + a*, p = -i(a - a*), vacuum covariance = identity.
-VACUUM_VARIANCE = 1.0
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,6 @@ class CovarianceForm:
     @property
     def n_modes(self):
         return self.mean.size // 2
-
-    def mode_indices(self, mode):
-        return slice(2 * mode, 2 * mode + 2)
 
 
 @dataclass(frozen=True)

@@ -30,25 +30,13 @@ from .photon_statistics.types import DetectionConfig, GaussianStateParams
 
 LOG_FLOOR = -690.0  # exp() underflows to zero a bit below this
 
-
-@dataclass(frozen=True)
-class OptimizationConfig:
-    """Knobs of the penalized-rate sweeps."""
-
-    alpha_min: float = 1.0
-    alpha_max: float = 1e12
-    n_points: int = 49
-    seed_scales: tuple = (0.5, 1.0, 2.0)
-    xatol: float = 1e-10
-    maxiter: int = 6000
-    warm_maxiter: int = 2000
-    mp_dps: int = 50
-    residual_tol: float = 1e-5
-
-    def alpha_grid(self):
-        if not (0 < self.alpha_min < self.alpha_max):
-            raise DomainError("alpha grid bounds must satisfy 0 < min < max")
-        return np.geomspace(self.alpha_min, self.alpha_max, self.n_points)
+# Solver tuning, shared by both families
+SEED_SCALES = (0.5, 1.0, 2.0)  # cold-start multiples of the seed guess
+XATOL = 1e-10
+MAXITER = 6000  # cold start; maxfev is twice this
+WARM_MAXITER = 2000  # warm-started point of a sweep
+MP_DPS = 50  # digits of the single-photon objective
+RESIDUAL_TOL = 1e-5  # largest relative f-spread of an accepted simplex
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,19 @@ class RateOptimum:
     params: dict
 
 
-def _run_simplex(objective, seeds, xatol, maxiter):
+def _check_point(alpha, eta, t_bs):
+    if alpha <= 0:
+        raise DomainError(f"alpha must be > 0, got {alpha}")
+    DetectionConfig(eta, t_bs)  # names a bad eta or t_bs
+
+
+def _solve_point(kind, alpha, objective, seeds, warm, finish):
+    """Multistart simplex at one penalty weight.
+
+    finish(x) maps the best search point to (params, p_success,
+    p_error); a simplex that has not collapsed raises SolverError.
+    """
+    maxiter = WARM_MAXITER if warm else MAXITER
     best = None
     for seed in seeds:
         seed = np.asarray(seed, dtype=float)
@@ -74,14 +74,29 @@ def _run_simplex(objective, seeds, xatol, maxiter):
             objective,
             seed,
             method="Nelder-Mead",
-            options=dict(xatol=xatol, fatol=fatol, maxiter=maxiter, maxfev=2 * maxiter),
+            options=dict(xatol=XATOL, fatol=fatol, maxiter=maxiter, maxfev=2 * maxiter),
         )
         if best is None or res.fun < best.fun:
             best = res
     fvals = best.final_simplex[1]
     scale = max(abs(fvals[0]), 1e-300)
     residual = float((fvals.max() - fvals.min()) / scale)
-    return best, residual
+    params, p_success, p_error = finish(best.x)
+    if not np.isfinite(best.fun) or residual > RESIDUAL_TOL:
+        raise SolverError(
+            f"{kind}-rate optimization stalled at alpha={alpha:.3e} "
+            f"(residual {residual:.2e})",
+            best_point=params,
+            best_value=-best.fun,
+        )
+    return RateOptimum(
+        alpha=float(alpha),
+        p_success=float(p_success),
+        p_error=float(max(p_error, 0.0)),
+        objective=-float(best.fun),
+        residual=residual,
+        params=params,
+    )
 
 
 def _single_state(x):
@@ -105,7 +120,7 @@ def _single_objective(alpha, kappas):
     return objective
 
 
-def _single_seeds(alpha, eta, t_bs, scales, warm_start):
+def _single_seeds(alpha, eta, t_bs, warm_start):
     # the optimum sits near the locus where one- and two-photon
     # amplitudes cancel: r ~ (d/2)^2, theta = 0, and the success rate
     # scales like sqrt(c / (3 alpha)) with c the small-rate coefficient
@@ -118,8 +133,7 @@ def _single_seeds(alpha, eta, t_bs, scales, warm_start):
         theta = warm_start["relative_angle"]
         if d > 0 and r > 0:
             seeds.append((np.log(d), np.log(r), theta))
-        scales = (1.0,)
-    for fac in scales:
+    for fac in SEED_SCALES if warm_start is None else (1.0,):
         d = d0 * fac
         seeds.append((np.log(d), np.log(max((d / 2.0) ** 2, 1e-300)), 0.0))
     if warm_start is None:
@@ -127,41 +141,25 @@ def _single_seeds(alpha, eta, t_bs, scales, warm_start):
     return seeds
 
 
-def maximize_single_rate(alpha, eta, t_bs=0.5, config=OptimizationConfig(),
-                         warm_start=None):
+def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     """Best displaced squeezed vacuum at one penalty weight.
 
     The inner click probabilities run at extended precision because the
     double-click rate at the optimum sits far below the cancellation
     floor of doubles once alpha is large.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
+    _check_point(alpha, eta, t_bs)
     kappas = (eta * t_bs, eta * (1.0 - t_bs), eta)
-    with mpmath.workdps(config.mp_dps):
-        objective = _single_objective(alpha, kappas)
-        seeds = _single_seeds(alpha, eta, t_bs, config.seed_scales, warm_start)
-        maxiter = config.warm_maxiter if warm_start is not None else config.maxiter
-        best, residual = _run_simplex(objective, seeds, config.xatol, maxiter)
-        params = _single_state(best.x).canonical()
+
+    def finish(x):
+        params = _single_state(x).canonical()
         q1, q2, q12 = no_click_after_loss(params, kappas, mathmod=mpmath)
-        p_success = float(1 - q1)
-        p_error = float(1 - q1 - q2 + q12)
-    if not np.isfinite(best.fun) or residual > config.residual_tol:
-        raise SolverError(
-            f"single-rate optimization stalled at alpha={alpha:.3e} "
-            f"(residual {residual:.2e})",
-            best_point=dataclasses.asdict(params),
-            best_value=-best.fun,
-        )
-    return RateOptimum(
-        alpha=float(alpha),
-        p_success=p_success,
-        p_error=max(p_error, 0.0),
-        objective=-float(best.fun),
-        residual=residual,
-        params=dataclasses.asdict(params),
-    )
+        return dataclasses.asdict(params), float(1 - q1), float(1 - q1 - q2 + q12)
+
+    with mpmath.workdps(MP_DPS):
+        return _solve_point("single", alpha, _single_objective(alpha, kappas),
+                            _single_seeds(alpha, eta, t_bs, warm_start),
+                            warm_start is not None, finish)
 
 
 def _pair_objective(alpha, eta, n_modes, t_bs):
@@ -177,7 +175,7 @@ def _pair_objective(alpha, eta, n_modes, t_bs):
     return objective
 
 
-def _pair_seeds(alpha, n_modes, scales, warm_start):
+def _pair_seeds(alpha, n_modes, warm_start):
     # the small-rate stationarity condition puts the shared brightness
     # near 1 / (2 alpha (n + 1))
     mu0 = 1.0 / (2.0 * alpha * (n_modes + 1.0))
@@ -186,43 +184,28 @@ def _pair_seeds(alpha, n_modes, scales, warm_start):
         mus = np.asarray(warm_start["pair_brightness"], dtype=float)
         if np.all(mus > 0):
             seeds.append([np.log(mus.mean())])
-        scales = (1.0,)
-    for fac in scales:
+    for fac in SEED_SCALES if warm_start is None else (1.0,):
         seeds.append([np.log(min(mu0 * fac, 0.5))])
     return seeds
 
 
-def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, config=OptimizationConfig(),
-                       warm_start=None):
+def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, warm_start=None):
     """Best ensemble of two-mode squeezed modes at one penalty weight.
 
     The search runs over one brightness shared by all modes.
     """
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
+    _check_point(alpha, eta, t_bs)
     if n_modes < 1:
         raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    objective = _pair_objective(alpha, eta, n_modes, t_bs)
-    seeds = _pair_seeds(alpha, n_modes, config.seed_scales, warm_start)
-    maxiter = config.warm_maxiter if warm_start is not None else config.maxiter
-    best, residual = _run_simplex(objective, seeds, config.xatol, maxiter)
-    mus = np.full(n_modes, np.exp(max(best.x[0], LOG_FLOOR)))
-    p_success, p_error = multimode_click_rates(mus, eta, t_bs, t_bs)
-    if not np.isfinite(best.fun) or residual > config.residual_tol:
-        raise SolverError(
-            f"pair-rate optimization stalled at alpha={alpha:.3e} "
-            f"(residual {residual:.2e})",
-            best_point={"pair_brightness": mus.tolist()},
-            best_value=-best.fun,
-        )
-    return RateOptimum(
-        alpha=float(alpha),
-        p_success=float(p_success),
-        p_error=float(max(p_error, 0.0)),
-        objective=-float(best.fun),
-        residual=residual,
-        params={"pair_brightness": mus.tolist()},
-    )
+
+    def finish(x):
+        mus = np.full(n_modes, np.exp(max(x[0], LOG_FLOOR)))
+        p_success, p_error = multimode_click_rates(mus, eta, t_bs, t_bs)
+        return {"pair_brightness": mus.tolist()}, p_success, p_error
+
+    return _solve_point("pair", alpha, _pair_objective(alpha, eta, n_modes, t_bs),
+                        _pair_seeds(alpha, n_modes, warm_start),
+                        warm_start is not None, finish)
 
 
 @dataclass(frozen=True)
@@ -282,74 +265,64 @@ class ThresholdCurve:
         )
 
 
-def single_threshold_curve(eta, t_bs=0.5, config=OptimizationConfig(),
-                           on_error="raise"):
-    """Sweep the single-photon boundary over the penalty grid.
+def _sweep(kind, eta, t_bs, n_modes, solve, rescale, alpha_min, alpha_max, n_points):
+    """Solve each penalty of the grid, warm-started from the point before.
 
-    on_error "skip" drops points whose solve stalls and records them in
-    the curve's meta under "gaps" instead of raising.
+    solve(alpha, warm) returns a RateOptimum and rescale(params, step)
+    turns it into the next warm start.  A point that stalls is recorded
+    in the curve's meta under "gaps" and the next one starts cold.
     """
-    DetectionConfig(eta, t_bs)  # names a bad eta or t_bs before any solve
-    grid = config.alpha_grid()
-    # optimum scalings along the sweep: d ~ alpha^(-1/4), r ~ alpha^(-1/2)
+    if not (0 < alpha_min < alpha_max):
+        raise DomainError("alpha grid bounds must satisfy 0 < min < max")
+    grid = np.geomspace(alpha_min, alpha_max, n_points)
     step = grid[1] / grid[0] if grid.size > 1 else 1.0
     optima = []
     gaps = []
     warm = None
     for alpha in grid:
         try:
-            opt = maximize_single_rate(alpha, eta, t_bs, config, warm_start=warm)
+            opt = solve(alpha, warm)
         except SolverError as exc:
-            if on_error != "skip":
-                raise
             gaps.append({"alpha": float(alpha), "message": str(exc)})
             warm = None
             continue
         optima.append(opt)
-        warm = {
-            "displacement_amplitude": opt.params["displacement_amplitude"] * step**-0.25,
-            "squeezing": opt.params["squeezing"] * step**-0.5,
-            "relative_angle": opt.params["relative_angle"],
-        }
-    return _curve_from_optima("single", eta, t_bs, 1, optima, config, gaps)
-
-
-def pair_threshold_curve(eta, n_modes=1, t_bs=0.5, config=OptimizationConfig(),
-                         on_error="raise"):
-    """Sweep the pair-source boundary over the penalty grid.
-
-    on_error behaves as in single_threshold_curve.
-    """
-    DetectionConfig(eta, t_bs)
-    grid = config.alpha_grid()
-    step = grid[1] / grid[0] if grid.size > 1 else 1.0
-    optima = []
-    gaps = []
-    warm = None
-    for alpha in grid:
-        try:
-            opt = maximize_pair_rate(alpha, eta, n_modes, t_bs, config,
-                                     warm_start=warm)
-        except SolverError as exc:
-            if on_error != "skip":
-                raise
-            gaps.append({"alpha": float(alpha), "message": str(exc)})
-            warm = None
-            continue
-        optima.append(opt)
-        # optimal brightness scales like 1 / alpha
-        warm = {
-            "pair_brightness": [m / step for m in opt.params["pair_brightness"]]
-        }
-    return _curve_from_optima("pair", eta, t_bs, n_modes, optima, config, gaps)
-
-
-def _curve_from_optima(kind, eta, t_bs, n_modes, optima, config, gaps=()):
+        warm = rescale(opt.params, step)
     if len(optima) < 2:
         raise SolverError(
-            f"only {len(optima)} of {config.n_points} boundary points solved; "
+            f"only {len(optima)} of {n_points} boundary points solved; "
             "cannot build a curve"
         )
+    return _curve_from_optima(kind, eta, t_bs, n_modes, optima, {
+        "alpha_min": alpha_min, "alpha_max": alpha_max, "gaps": gaps})
+
+
+def single_threshold_curve(eta, t_bs=0.5, *, alpha_min=1.0, alpha_max=1e12, n_points=49):
+    """Sweep the single-photon boundary over the penalty grid."""
+    # optimum scalings along the sweep: d ~ alpha^(-1/4), r ~ alpha^(-1/2)
+    return _sweep(
+        "single", eta, t_bs, 1,
+        lambda alpha, warm: maximize_single_rate(alpha, eta, t_bs, warm_start=warm),
+        lambda params, step: {
+            "displacement_amplitude": params["displacement_amplitude"] * step**-0.25,
+            "squeezing": params["squeezing"] * step**-0.5,
+            "relative_angle": params["relative_angle"],
+        },
+        alpha_min, alpha_max, n_points)
+
+
+def pair_threshold_curve(eta, n_modes=1, t_bs=0.5, *, alpha_min=1.0, alpha_max=1e12,
+                         n_points=49):
+    """Sweep the pair-source boundary over the penalty grid."""
+    # optimal brightness scales like 1 / alpha
+    return _sweep(
+        "pair", eta, t_bs, n_modes,
+        lambda alpha, warm: maximize_pair_rate(alpha, eta, n_modes, t_bs, warm_start=warm),
+        lambda params, step: {"pair_brightness": [m / step for m in params["pair_brightness"]]},
+        alpha_min, alpha_max, n_points)
+
+
+def _curve_from_optima(kind, eta, t_bs, n_modes, optima, grid_meta):
     search = "nelder-mead" if kind == "single" else "nelder-mead over one shared log-brightness"
     return ThresholdCurve(
         kind=kind,
@@ -364,10 +337,8 @@ def _curve_from_optima(kind, eta, t_bs, n_modes, optima, config, gaps=()):
         meta={
             "objective": "p_success - alpha * p_error",
             "optimizer": f"{search}, multistart, warm-started sweep",
-            "mp_dps": config.mp_dps if kind == "single" else None,
-            "alpha_min": config.alpha_min,
-            "alpha_max": config.alpha_max,
-            "gaps": list(gaps),
+            "mp_dps": MP_DPS if kind == "single" else None,
+            **grid_meta,
         },
     )
 

@@ -76,15 +76,18 @@ def test_threshold_rejects_bad_eta(capsys):
     assert "eta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", ["single", "pair"])
+@pytest.mark.parametrize("mode,n", [
+    ("single", "2"), ("pair", "2"), ("single", "asymptotic"), ("pair", "asymptotic"),
+], ids=["single", "pair", "single-asymptotic", "pair-asymptotic"])
 @pytest.mark.parametrize("flag,value,field", [
     ("--eta", "1.5", "eta"), ("--eta", "-0.2", "eta"), ("--eta", "nan", "eta"),
     ("--tbs", "1.0", "t_bs"),
 ])
-def test_threshold_sweep_rejects_bad_detection(tmp_path, capsys, mode, flag, value, field):
-    # the swept path checks eta and t_bs before solving any point
+def test_threshold_sweep_rejects_bad_detection(tmp_path, capsys, mode, n, flag, value,
+                                               field):
+    # swept and closed-form curves check eta and t_bs before writing
     out = tmp_path / "curve"
-    args = ["threshold", "--mode", mode, "--eta", "0.5", "--n", "2",
+    args = ["threshold", "--mode", mode, "--eta", "0.5", "--n", n,
             "--points", "3", "--out", str(out), flag, value]
     assert main(args) == 1
     assert field in capsys.readouterr().err
@@ -226,6 +229,23 @@ def test_config_unknown_field_rejected(tmp_path, capsys):
     cfg.write_text('{"mode": "pair", "not_a_field": 1}')
     assert main(["threshold", "--config", str(cfg), "--eta", "0.5"]) == 1
     assert "not_a_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["threshold", "--mode", "pair", "--eta", "0.5", "--n", "asymptotic"],
+    ["analyze", "--criterion", "simple-bs"],
+])
+def test_tbs_b_is_simulate_only(tmp_path, pair_file, capsys, command):
+    # only the simulators model a second arm's splitter
+    out = ["--out", str(tmp_path / "x")]
+    if command[0] == "analyze":
+        out += ["--counts", str(pair_file)]
+    assert main(command + out + ["--tbs-b", "0.3"]) == 1
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"tbs_b": 0.3}')
+    assert main(command + out + ["--config", str(cfg)]) == 1
+    assert "unknown config fields: tbs_b" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_validate_oracle_suite(tmp_path, capsys):

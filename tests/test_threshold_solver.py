@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from nongauss import DomainError, SolverError
+from nongauss import DomainError, SolverError, threshold_solver
+from nongauss.cli import main
+from nongauss.io_formats import read_curve_csv, read_curve_json
 from nongauss.photon_statistics.pair_formulas import multimode_click_rates
 from nongauss.threshold_solver import (
-    OptimizationConfig,
     PairThresholdModel,
     SinglePhotonThresholdModel,
     SplitterThresholdModel,
@@ -140,11 +141,10 @@ def test_single_search_path_is_pinned(alpha, eta, expected):
 
 
 def test_single_curve_sweep():
-    cfg = OptimizationConfig(alpha_min=1e2, alpha_max=1e8, n_points=7)
-    curve = single_threshold_curve(0.5, config=cfg)
+    curve = single_threshold_curve(0.5, alpha_min=1e2, alpha_max=1e8, n_points=7)
     assert curve.kind == "single"
     assert np.all(np.diff(curve.p_error) > 0)
-    assert np.all(curve.residuals <= cfg.residual_tol)
+    assert np.all(curve.residuals <= threshold_solver.RESIDUAL_TOL)
     pe = 1e-9
     assert curve.value(pe) == pytest.approx(
         SinglePhotonThresholdModel(0.5).value(pe), rel=0.02
@@ -155,8 +155,7 @@ def test_single_curve_sweep():
 
 
 def test_pair_curve_sweep():
-    cfg = OptimizationConfig(alpha_min=1e2, alpha_max=1e8, n_points=7)
-    curve = pair_threshold_curve(0.5, n_modes=1, config=cfg)
+    curve = pair_threshold_curve(0.5, n_modes=1, alpha_min=1e2, alpha_max=1e8, n_points=7)
     pe = 1e-8
     coeff = 0.5 * 1 / (2.0 * np.sqrt(2.0))
     assert curve.value(pe) == pytest.approx(coeff * np.sqrt(pe), rel=0.02)
@@ -188,14 +187,62 @@ def test_finite_difference_eta_sensitivity():
     assert sens == pytest.approx(float(expected), rel=1e-3)
 
 
-def test_solver_error_paths():
+def test_solver_error_paths(monkeypatch):
     with pytest.raises(DomainError):
         maximize_single_rate(0.0, 0.5)
     with pytest.raises(DomainError):
         maximize_pair_rate(1e3, 0.5, n_modes=0)
-    cfg = OptimizationConfig(maxiter=3, warm_maxiter=3, residual_tol=1e-12)
-    with pytest.raises(SolverError) as exc:
-        maximize_single_rate(1e6, 0.5, config=cfg)
-    assert exc.value.best_point is not None
+    # the point solvers check the detection themselves
+    with pytest.raises(DomainError, match="eta"):
+        maximize_pair_rate(1e3, 1.5, n_modes=2)
+    with pytest.raises(DomainError, match="eta"):
+        maximize_single_rate(10, 1.5)
     with pytest.raises(DomainError):
-        OptimizationConfig(alpha_min=0.0).alpha_grid()
+        pair_threshold_curve(0.5, alpha_min=0.0)
+    monkeypatch.setattr(threshold_solver, "MAXITER", 3)
+    monkeypatch.setattr(threshold_solver, "WARM_MAXITER", 3)
+    monkeypatch.setattr(threshold_solver, "RESIDUAL_TOL", 1e-12)
+    with pytest.raises(SolverError) as exc:
+        maximize_single_rate(1e6, 0.5)
+    assert exc.value.best_point is not None
+
+
+@pytest.fixture
+def flaky_pair_solver(monkeypatch):
+    """maximize_pair_rate that stalls at the second penalty it is given.
+
+    Returns the (alpha, warm_start) of every call.
+    """
+    real = threshold_solver.maximize_pair_rate
+    calls = []
+
+    def flaky(alpha, *args, warm_start=None, **kwargs):
+        calls.append((float(alpha), warm_start))
+        if len(calls) == 2:
+            raise SolverError("stalled on purpose")
+        return real(alpha, *args, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(threshold_solver, "maximize_pair_rate", flaky)
+    return calls
+
+
+def test_sweep_records_gap_and_restarts_cold(flaky_pair_solver):
+    calls = flaky_pair_solver
+    curve = pair_threshold_curve(0.5, n_modes=2, alpha_min=1e2, alpha_max=1e5, n_points=4)
+    # the sweep looks the point solver up at call time
+    assert len(calls) == 4
+    assert curve.meta["gaps"] == [{"alpha": calls[1][0], "message": "stalled on purpose"}]
+    assert calls[1][1] is not None
+    assert calls[2][1] is None
+    assert curve.alphas.size == 3
+
+
+def test_threshold_cli_exports_curve_with_gap(flaky_pair_solver, tmp_path, capsys):
+    out = tmp_path / "gappy"
+    assert main(["threshold", "--mode", "pair", "--eta", "0.5", "--n", "2",
+                 "--alpha-min", "1e2", "--alpha-max", "1e5", "--points", "4",
+                 "--out", str(out)]) == 1
+    assert "curve has gaps" in capsys.readouterr().err
+    curve = read_curve_json(f"{out}.json")
+    assert [g["alpha"] for g in curve.meta["gaps"]] == [flaky_pair_solver[1][0]]
+    assert read_curve_csv(f"{out}.csv")["p_error"].size == 3
