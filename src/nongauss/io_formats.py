@@ -319,9 +319,12 @@ def read_tag_stream(path):
                 raise FormatError(f"{path}: line {i}: expected 3 fields")
             try:
                 pulses.append(int(parts[0]))
-                times.append(float(parts[2]))
+                t = float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {i}: {exc}") from exc
+            if not math.isfinite(t):
+                raise FormatError(f"{path}: line {i}: time must be finite")
+            times.append(t)
             dets.append(parts[1])
     return {
         "pulse_index": np.array(pulses, dtype=np.int64),

@@ -86,7 +86,7 @@ def click_probs_from_number_distribution(probs, config=DetectionConfig()):
     q1 = pgf(1.0 - config.eta * config.t_bs)
     q2 = pgf(1.0 - config.eta * (1.0 - config.t_bs))
     q12 = pgf(1.0 - config.eta)
-    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob, "fock")
+    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob)
 
 
 def fock_oracle_click_probs(params, config=DetectionConfig(), cutoff=None,

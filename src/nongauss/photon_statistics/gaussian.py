@@ -96,27 +96,19 @@ def no_click_after_loss(params, kappas, mathmod=math):
     return tuple(out)
 
 
-def single_photon_click_probs(params, config=DetectionConfig(), method="covariance"):
+def single_photon_click_probs(params, config=DetectionConfig()):
     """Click statistics of a state sent through loss and a splitter.
 
     Success: a click on the transmitted detector.  Error: clicks on
-    both detectors in the same pulse.  `method` picks the moment
-    pipeline ("covariance") or the equivalent scalar form ("scalar").
+    both detectors in the same pulse.  The no-click probabilities come
+    from no_click_after_loss, the kernel the threshold solver uses.
     """
-    if method == "covariance":
-        split = beamsplit(apply_loss(to_covariance(params), config.eta), config.t_bs)
-        q1 = no_click_probability(split, [0])
-        q2 = no_click_probability(split, [1])
-        q12 = no_click_probability(split)
-    elif method == "scalar":
-        eta, t = config.eta, config.t_bs
-        q1, q2, q12 = no_click_after_loss(params, (eta * t, eta * (1.0 - t), eta))
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob, method)
+    eta, t = config.eta, config.t_bs
+    q1, q2, q12 = no_click_after_loss(params, (eta * t, eta * (1.0 - t), eta))
+    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob)
 
 
-def _splitter_click_probs(q1, q2, q12, dark, method):
+def _splitter_click_probs(q1, q2, q12, dark):
     """Click statistics from the dark-free no-click probabilities.
 
     q1 and q2 belong to the transmitted and reflected detector, q12 to
@@ -129,5 +121,5 @@ def _splitter_click_probs(q1, q2, q12, dark, method):
     return ClickProbabilities(
         p_success=min(max(p_success, 0.0), 1.0),
         p_error=min(max(p_error, 0.0), 1.0),
-        meta={"q_success": q1, "q_other": q2, "q_both": q12, "method": method},
+        meta={"q_success": q1, "q_other": q2, "q_both": q12},
     )

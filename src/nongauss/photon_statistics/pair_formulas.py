@@ -13,6 +13,9 @@ arranged so that no large terms cancel, which keeps them accurate down
 to probabilities of order 1e-300.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from ..errors import DomainError
@@ -40,52 +43,39 @@ def _with_dark(p_coinc, p_any_1, p_any_2, p_any_both, dark):
     )
 
 
-def _click_any(mus, x):
-    # 1 - prod_i Q_i(x), stable when every factor is close to one.
-    q = mus * (1.0 - x) / (1.0 - mus * x)
-    return -np.expm1(np.sum(np.log1p(-q)))
-
-
-def _correlated_excess(mus, qc, qab, diff):
-    """Telescoped prod Q_i(c) - prod Q_i(a) Q_i(b).
-
-    diff holds the per-mode difference qc_i - qab_i in a pre-cancelled
-    form; the telescoping keeps the total exact even when both products
-    are within 1e-16 of each other.
-    """
-    pref = np.concatenate([[1.0], np.cumprod(qc[:-1])])
-    suff = np.concatenate([np.cumprod(qab[::-1])[::-1][1:], [1.0]])
-    return float(np.sum(pref * diff * suff))
-
-
 def multimode_click_rates(mus, eta, ta, tb, dark=0.0):
     """(p_success, p_error) of independent pair modes, one brightness each.
 
     The one pair kernel: a detector responds to photons from any mode,
     and one mode is the single two-mode squeezed vacuum.  Dark clicks
-    with probability `dark` per detector are folded in exactly.
+    with probability `dark` per detector are folded in exactly.  Modes
+    of equal brightness are summed once, weighted by their count.
     """
-    mus = np.asarray(mus, dtype=float)
+    groups = Counter(float(mu) for mu in mus).items()
 
-    def coincidence(a, b, c, diff):
-        qc = (1.0 - mus) / (1.0 - mus * c)
-        qab = (1.0 - mus) ** 2 / ((1.0 - mus * a) * (1.0 - mus * b))
-        p_a, p_b = _click_any(mus, a), _click_any(mus, b)
-        p = p_a * p_b + _correlated_excess(mus, qc, qab, diff)
+    def log_no_click(x):
+        # log prod_i Q_i(x), each factor written as 1 - q so log1p keeps small q
+        return sum(k * math.log1p(-mu * (1.0 - x) / (1.0 - mu * x)) for mu, k in groups)
+
+    def coincidence(a, b, c, excess):
+        # prod Q(c) - prod Q(a) Q(b) = prod Q(a) Q(b) * expm1(sum log1p(excess)),
+        # excess = (Q(c) - Q(a) Q(b)) / (Q(a) Q(b)) per mode in pre-cancelled form
+        la, lb = log_no_click(a), log_no_click(b)
+        p_a, p_b = -math.expm1(la), -math.expm1(lb)
+        p = p_a * p_b + math.exp(la + lb) * math.expm1(
+            sum(k * math.log1p(excess(mu)) for mu, k in groups))
         if dark:
-            p = _with_dark(p, p_a, p_b, _click_any(mus, c), dark)
+            p = _with_dark(p, p_a, p_b, -math.expm1(log_no_click(c)), dark)
         return p
 
     x1, x2 = 1.0 - eta * ta, 1.0 - eta * tb
-    denom_s = (1.0 - mus * x1 * x2) * (1.0 - mus * x1) * (1.0 - mus * x2)
-    diff_s = (1.0 - mus) * mus * (1.0 - x1) * (1.0 - x2) / denom_s
-    p_s = coincidence(x1, x2, x1 * x2, diff_s)
+    p_s = coincidence(x1, x2, x1 * x2, lambda mu: (
+        mu * (1.0 - x1) * (1.0 - x2) / ((1.0 - mu) * (1.0 - mu * x1 * x2))))
 
     def error_arm(t):
         a, b, c = 1.0 - eta * t, 1.0 - eta * (1.0 - t), 1.0 - eta
-        denom = (1.0 - mus * c) * (1.0 - mus * a) * (1.0 - mus * b)
-        diff = (1.0 - mus) * mus * mus * (1.0 - a) * (1.0 - b) / denom
-        return coincidence(a, b, c, diff)
+        return coincidence(a, b, c, lambda mu: (
+            mu * mu * (1.0 - a) * (1.0 - b) / ((1.0 - mu) * (1.0 - mu * c))))
 
     return p_s, 0.5 * (error_arm(ta) + error_arm(tb))
 

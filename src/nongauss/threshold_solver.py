@@ -17,6 +17,8 @@ the counts analyzer consumes.
 """
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import mpmath
@@ -162,14 +164,17 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
                             warm_start is not None, finish)
 
 
-def _pair_objective(alpha, eta, n_modes, t_bs):
+def _pair_ensemble(x, n_modes):
     # every mode gets the same brightness exp(x): the optimum ensemble
     # is uniform, so one variable spans the search
+    return [float(np.exp(max(x[0], LOG_FLOOR)))] * n_modes
+
+
+def _pair_objective(alpha, eta, n_modes, t_bs):
     def objective(x):
         if x[0] > -1e-9:
             return 1e10
-        mus = np.full(n_modes, np.exp(max(x[0], LOG_FLOOR)))
-        p_s, p_e = multimode_click_rates(mus, eta, t_bs, t_bs)
+        p_s, p_e = multimode_click_rates(_pair_ensemble(x, n_modes), eta, t_bs, t_bs)
         return -(p_s - alpha * p_e)
 
     return objective
@@ -199,9 +204,9 @@ def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, warm_start=None):
         raise DomainError(f"n_modes must be >= 1, got {n_modes}")
 
     def finish(x):
-        mus = np.full(n_modes, np.exp(max(x[0], LOG_FLOOR)))
+        mus = _pair_ensemble(x, n_modes)
         p_success, p_error = multimode_click_rates(mus, eta, t_bs, t_bs)
-        return {"pair_brightness": mus.tolist()}, p_success, p_error
+        return {"pair_brightness": mus}, p_success, p_error
 
     return _solve_point("pair", alpha, _pair_objective(alpha, eta, n_modes, t_bs),
                         _pair_seeds(alpha, n_modes, warm_start),
@@ -272,10 +277,15 @@ def _sweep(kind, eta, t_bs, n_modes, solve, rescale, alpha_min, alpha_max, n_poi
     turns it into the next warm start.  A point that stalls is recorded
     in the curve's meta under "gaps" and the next one starts cold.
     """
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise DomainError(f"points must be an integer >= 2, got {n_points!r}")
+    bounds = (alpha_min, alpha_max)
+    if not all(isinstance(a, numbers.Real) and math.isfinite(a) for a in bounds):
+        raise DomainError(f"alpha grid bounds must be finite numbers, got {bounds}")
     if not (0 < alpha_min < alpha_max):
         raise DomainError("alpha grid bounds must satisfy 0 < min < max")
     grid = np.geomspace(alpha_min, alpha_max, n_points)
-    step = grid[1] / grid[0] if grid.size > 1 else 1.0
+    step = grid[1] / grid[0]
     optima = []
     gaps = []
     warm = None

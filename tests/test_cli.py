@@ -94,6 +94,24 @@ def test_threshold_sweep_rejects_bad_detection(tmp_path, capsys, mode, n, flag, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags,fields,field", [
+    (["--points", "-2"], {}, "points"),
+    (["--points", "1"], {}, "points"),
+    ([], {"points": 3.5}, "points"),
+    ([], {"points": True}, "points"),
+    (["--alpha-max", "inf", "--points", "3"], {}, "alpha"),
+    (["--alpha-min", "nan", "--points", "3"], {}, "alpha"),
+], ids=["negative", "one", "fractional", "bool", "inf-alpha", "nan-alpha"])
+def test_threshold_rejects_bad_grid(tmp_path, capsys, flags, fields, field):
+    # a sweep grid from flags or config is checked before any solve or file
+    out = tmp_path / "curve"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "pair", "eta": 0.5, "out": str(out), **fields}))
+    assert main(["threshold", "--config", str(cfg), *flags]) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve*"))
+
+
 def test_threshold_rejects_bad_n(capsys):
     assert main(["threshold", "--mode", "pair", "--eta", "0.5",
                  "--n", "many"]) == 1

@@ -19,11 +19,8 @@ from nongauss.photon_statistics import (
 
 def test_vacuum_never_clicks():
     probs = single_photon_click_probs(GaussianStateParams(0.0, 0.0))
-    assert probs.p_success == pytest.approx(0.0, abs=1e-12)
-    assert probs.p_error == pytest.approx(0.0, abs=1e-12)
-    exact = single_photon_click_probs(GaussianStateParams(0.0, 0.0), method="scalar")
-    assert exact.p_success == 0.0
-    assert exact.p_error == 0.0
+    assert probs.p_success == 0.0
+    assert probs.p_error == 0.0
 
 
 def test_coherent_no_click_is_poissonian():
@@ -43,16 +40,20 @@ def test_squeezed_vacuum_no_click():
 
 
 def test_scalar_matches_covariance_pipeline():
+    # the moment calculus (loss, splitter, vacuum overlap of 4x4
+    # covariances) is the reference the scalar kernel is checked against
     rng = np.random.default_rng(7)
     for _ in range(50):
         params = GaussianStateParams(
             rng.uniform(0, 2.5), rng.uniform(0, 1.2), rng.uniform(0, np.pi)
         )
         cfg = DetectionConfig(eta=rng.uniform(0.05, 1.0), t_bs=rng.uniform(0.2, 0.8))
-        a = single_photon_click_probs(params, cfg, method="covariance")
-        b = single_photon_click_probs(params, cfg, method="scalar")
-        assert a.p_success == pytest.approx(b.p_success, rel=1e-12, abs=1e-15)
-        assert a.p_error == pytest.approx(b.p_error, rel=1e-9, abs=1e-15)
+        split = beamsplit(apply_loss(to_covariance(params), cfg.eta), cfg.t_bs)
+        q1, q2, q12 = (no_click_probability(split, m) for m in ([0], [1], None))
+        got = single_photon_click_probs(params, cfg)
+        assert got.p_success == pytest.approx(1.0 - q1, rel=1e-12, abs=1e-15)
+        assert got.p_error == pytest.approx(max(1.0 - q1 - q2 + q12, 0.0),
+                                            rel=1e-9, abs=1e-15)
 
 
 def test_no_click_after_loss_supports_mpmath():

@@ -180,6 +180,14 @@ def test_tag_stream_bad_line(tmp_path):
         read_tag_stream(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_tag_stream_rejects_non_finite_time(tmp_path, bad):
+    path = tmp_path / "tags.txt"
+    path.write_text(f"# nongauss-tags v1\n0 a1 12.5\n3 b1 {bad}\n")
+    with pytest.raises(FormatError, match="line 3: time must be finite"):
+        read_tag_stream(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_text("a,b\n1,2\n")

@@ -57,23 +57,35 @@ def test_multimode_reduces_to_single_mode():
         assert b.p_error == pytest.approx(a.p_error, rel=1e-12)
 
 
-def test_multimode_against_plain_products():
+@pytest.mark.parametrize("mus,dark", [
+    ((0.2, 0.05, 0.11), 0.0),
+    ((0.2, 0.2, 0.05), 0.0),
+    ((0.11,) * 4, 0.0),
+    ((0.0, 0.3, 0.3, 0.0), 0.0),
+    ((0.2, 0.2, 0.05), 1e-3),
+], ids=["distinct", "repeated", "four-equal", "zero-padded", "dark"])
+def test_multimode_against_plain_products(mus, dark):
     # at moderate brightness the naive product form is accurate enough
-    # to validate the telescoped evaluation
-    mus = np.array([0.2, 0.05, 0.11])
+    # to validate the grouped evaluation, repeated brightnesses included
+    mus = np.array(mus)
     eta, ta, tb = 0.4, 0.52, 0.5
+    k = 1.0 - dark
 
     def q(x):
         return np.prod((1 - mus) / (1 - mus * x))
 
+    def coincidence(a, b, c):
+        return 1 - k * q(a) - k * q(b) + k * k * q(c)
+
     x1, x2 = 1 - eta * ta, 1 - eta * tb
-    ps = 1 - q(x1) - q(x2) + q(x1 * x2)
+    ps = coincidence(x1, x2, x1 * x2)
 
     def pe_arm(t):
-        return 1 - q(1 - eta * t) - q(1 - eta * (1 - t)) + q(1 - eta)
+        return coincidence(1 - eta * t, 1 - eta * (1 - t), 1 - eta)
 
     pe = 0.5 * (pe_arm(ta) + pe_arm(tb))
-    got = multimode_pair_click_probs(ModeEnsemble(tuple(mus)), DetectionConfig(eta=eta, t_bs=ta, t_bs_b=tb))
+    cfg = DetectionConfig(eta=eta, t_bs=ta, t_bs_b=tb, dark_count_prob=dark)
+    got = multimode_pair_click_probs(ModeEnsemble(tuple(mus)), cfg)
     assert got.p_success == pytest.approx(ps, rel=1e-10)
     assert got.p_error == pytest.approx(pe, rel=1e-10)
 
