@@ -112,9 +112,6 @@ def build_parser():
     sub.add_argument("--a-max", type=float, default=0.8,
                      help="largest emulated attenuation of the scan")
     sub.add_argument("--a-step", type=float, default=0.02)
-    sub.add_argument("--scan-mode", default="deterministic",
-                     choices=("deterministic", "stochastic"))
-    sub.add_argument("--scan-seed", type=int, default=0)
     sub.add_argument("--sigma-level", type=float, default=1.0,
                      help="sigma margin defining the depth crossing")
     sub.add_argument("--peak-areas", default=None,
@@ -208,10 +205,18 @@ def _merge_config(parser, sub, argv, args):
         raise FormatError(f"{path}: {exc.strerror}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
-    valid = {a.dest for a in sub._actions} - {"help", "config", "func"}
-    unknown = sorted(set(doc) - valid)
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(doc) - set(actions))
     if unknown:
         raise FormatError(f"{path}: unknown config fields: {', '.join(unknown)}")
+    for name, value in doc.items():
+        # argparse converts string defaults only; null leaves an optional flag unset
+        kind, default = actions[name].type, actions[name].default
+        if (kind in (int, float) and not isinstance(value, str)
+                and not (value is None and default is None)
+                and (isinstance(value, bool) or not isinstance(value, (int, kind)))):
+            raise FormatError(f"{path}: field {name!r}: expected {kind.__name__}, "
+                              f"got {type(value).__name__}")
     sub.set_defaults(**doc)
     return parser.parse_args(argv)
 
@@ -317,7 +322,11 @@ def cmd_analyze(args):
     _require(args, "counts")
     _require(args, "criterion", {"auto", "pair-asymptotic", "single-approx",
                                  "simple-bs"})
-    _require(args, "scan_mode", {"deterministic", "stochastic"})
+    for name in ("sigma_eta", "sigma_level"):
+        value = getattr(args, name)
+        if not (np.isfinite(value) and value >= 0):
+            raise DomainError(f"--{name.replace('_', '-')} must be a finite "
+                              f"number >= 0, got {value!r}")
     counts = io_formats.read_counts_json(args.counts)
     name, model = _build_model(args.criterion, counts.kind, args)
     p_success, p_error = estimate_click_probabilities(counts)
@@ -332,8 +341,7 @@ def cmd_analyze(args):
     except DomainError as exc:
         distance_note = str(exc)
 
-    scan = attenuation_scan(counts, a_max=args.a_max, step=args.a_step,
-                            mode=args.scan_mode, seed=args.scan_seed)
+    scan = attenuation_scan(counts, a_max=args.a_max, step=args.a_step)
     scan_csv = f"{args.out}_scan.csv"
     io_formats.write_scan_csv(scan_csv, scan)
 
@@ -389,7 +397,7 @@ def cmd_analyze(args):
         "depth": depth_section,
         "blinking": blinking_section,
         "scan": {
-            "mode": scan.mode,
+            "mode": "deterministic",
             "a_max": args.a_max,
             "step": args.a_step,
             "n_points": int(scan.attenuations.size),

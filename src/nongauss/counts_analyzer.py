@@ -4,7 +4,7 @@ Turns raw coincidence counts into probability estimates with counting
 uncertainties, measures how far a point sits above a threshold in
 combined standard deviations, emulates extra attenuation by
 undersampling, extracts the emitter duty cycle from correlation peak
-areas, and fits the attenuation budget (depth) at which certification
+areas, and finds the attenuation budget (depth) at which certification
 is lost.
 """
 
@@ -191,43 +191,35 @@ def _scaling_exponents(kind):
     return {"success": 1, "error": 2, "singles": 1}
 
 
-def undersample(counts, attenuation, mode="deterministic", seed=None):
+def _thinned(counts, keep):
+    # every click survives with probability keep, so a count that needs
+    # k clicks scales by keep**k
+    exps = _scaling_exponents(counts.kind)
+    singles = None
+    if counts.singles is not None:
+        singles = {k: v * keep ** exps["singles"] for k, v in counts.singles.items()}
+    return replace(
+        counts,
+        success_count=counts.success_count * keep ** exps["success"],
+        error_count_a=counts.error_count_a * keep ** exps["error"],
+        error_count_b=(
+            counts.error_count_b * keep ** exps["error"] if counts.kind == "pair" else None
+        ),
+        singles=singles,
+    )
+
+
+def undersample(counts, attenuation):
     """Emulate extra attenuation by thinning recorded counts.
 
     Each click survives with probability 1 - attenuation, so two-fold
     coincidences scale by (1 - attenuation)**2 and one-detector counts
-    by (1 - attenuation).  Deterministic mode scales the expectations;
-    stochastic mode draws binomial thinning from the seed.
+    by (1 - attenuation).  The counts become these expectations.
     """
     if not (0.0 <= attenuation < 1.0):
         raise DomainError(f"attenuation must lie in [0, 1), got {attenuation}")
-    keep = 1.0 - attenuation
-    exps = _scaling_exponents(counts.kind)
-
-    if mode == "deterministic":
-        def thin(count, power):
-            return count * keep**power
-    elif mode == "stochastic":
-        rng = np.random.default_rng(seed)
-
-        def thin(count, power):
-            return int(rng.binomial(int(round(count)), keep**power))
-    else:
-        raise DomainError(f"unknown undersampling mode {mode!r}")
-
-    singles = None
-    if counts.singles is not None:
-        singles = {k: thin(v, exps["singles"]) for k, v in counts.singles.items()}
-    return replace(
-        counts,
-        success_count=thin(counts.success_count, exps["success"]),
-        error_count_a=thin(counts.error_count_a, exps["error"]),
-        error_count_b=(
-            thin(counts.error_count_b, exps["error"]) if counts.kind == "pair" else None
-        ),
-        singles=singles,
-        meta={**counts.meta, "undersampled_by": attenuation, "undersample_mode": mode},
-    )
+    thinned = _thinned(counts, 1.0 - attenuation)
+    return replace(thinned, meta={**counts.meta, "undersampled_by": attenuation})
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,6 @@ class AttenuationScan:
     p_error: np.ndarray
     sigma_p_error: np.ndarray
     source_counts: CountSummary
-    mode: str
 
     def __post_init__(self):
         for name in ("attenuations", "p_success", "sigma_p_success",
@@ -253,31 +244,20 @@ class AttenuationScan:
         if np.any(np.diff(self.attenuations) <= 0):
             raise DomainError("attenuations must be strictly increasing")
 
-    @property
-    def points(self):
-        return [
-            (ProbabilityEstimate(pe, spe), ProbabilityEstimate(ps, sps))
-            for pe, spe, ps, sps in zip(
-                self.p_error, self.sigma_p_error, self.p_success, self.sigma_p_success
-            )
-        ]
 
-
-def attenuation_scan(counts, a_max=0.8, step=0.02, mode="deterministic", seed=None):
+def attenuation_scan(counts, a_max=0.8, step=0.02):
     """Undersample over a uniform attenuation grid starting at zero."""
     if not (0.0 < step <= a_max < 1.0):
         raise DomainError(f"need 0 < step <= a_max < 1, got step={step}, a_max={a_max}")
     grid = np.arange(0.0, a_max + step / 2.0, step)
     ps, sps, pe, spe = [], [], [], []
-    for i, a in enumerate(grid):
-        point_seed = None if seed is None else (seed, i)
-        thinned = undersample(counts, float(a), mode=mode, seed=point_seed)
-        s, e = estimate_click_probabilities(thinned)
+    for a in grid:
+        s, e = estimate_click_probabilities(undersample(counts, float(a)))
         ps.append(s.value)
         sps.append(s.sigma)
         pe.append(e.value)
         spe.append(e.sigma)
-    return AttenuationScan(grid, ps, sps, pe, spe, counts, mode)
+    return AttenuationScan(grid, ps, sps, pe, spe, counts)
 
 
 @dataclass(frozen=True)
@@ -366,74 +346,59 @@ class DepthResult:
     fit_meta: dict
 
 
-def depth_fit(scan, model, sigma_eta=0.0, sigma_level=1.0, tau_floor=1e-6):
-    """Find where the attenuated trajectory stops clearing the threshold.
+TAU_FLOOR = 1e-6  # smallest transmission the depth search reaches
 
-    The scan is fit by straight lines in log-log coordinates against
-    the residual transmission tau = 1 - attenuation, then extrapolated
-    until the trajectory meets the threshold plus sigma_level combined
-    standard deviations.  Counting uncertainties shrink along the
-    extrapolation as the surviving counts do; the efficiency
-    uncertainty stays fixed (the threshold is held at the scan's own
-    efficiency).  The crossing is converted to a per-success-photon
-    depth: a pair loses two photons to attenuation, a single one.
+
+def depth_fit(scan, model, sigma_eta=0.0, sigma_level=1.0):
+    """Find where the attenuated counts stop clearing the threshold.
+
+    The scan's own thinning law is continued below the scan: at residual
+    transmission tau = 1 - attenuation every count scales by tau**k, and
+    the thinned counts give the estimates and their counting
+    uncertainties exactly as at a scan point.  The crossing is where the
+    success estimate meets the threshold plus sigma_level combined
+    standard deviations; the efficiency uncertainty stays fixed (the
+    threshold is held at the scan's own efficiency).  The crossing is
+    converted to a per-success-photon depth: a pair loses two photons to
+    attenuation, a single one.
+
+    fit_meta records the thinning exponents as slopes, the logs of the
+    unattenuated estimates as intercepts, and the RMS distance of the
+    scan's log-probabilities from that trajectory.
     """
-    if scan.attenuations.size < 5:
-        raise DomainError("need at least 5 scan points for a stable fit")
     counts = scan.source_counts
-    keep = np.log(1.0 - scan.attenuations)
-    good = (scan.p_success > 0) & (scan.p_error > 0)
-    if good.sum() < 5:
-        raise FitError("fewer than 5 scan points have nonzero probabilities")
-
-    slope_s, intercept_s = np.polyfit(keep[good], np.log(scan.p_success[good]), 1)
-    slope_e, intercept_e = np.polyfit(keep[good], np.log(scan.p_error[good]), 1)
-    res_s = np.log(scan.p_success[good]) - (slope_s * keep[good] + intercept_s)
-    res_e = np.log(scan.p_error[good]) - (slope_e * keep[good] + intercept_e)
-
-    rel_rate = counts.generation_rate_sigma_hz / counts.generation_rate_hz
-    c_success = counts.success_count
-    c_error = counts.error_count_total
-    if c_success <= 0 or c_error <= 0:
+    if counts.success_count <= 0 or counts.error_count_total <= 0:
         raise FitError("zero success or error counts; no trajectory to extrapolate")
 
-    def trajectory(tau):
-        log_tau = math.log(tau)
-        ps = math.exp(intercept_s + slope_s * log_tau)
-        pe = math.exp(intercept_e + slope_e * log_tau)
-        return ps, pe
-
     def gap(tau):
-        ps, pe = trajectory(tau)
-        sigma_ps = ps * math.sqrt(1.0 / (c_success * tau**slope_s) + rel_rate**2)
-        sigma_pe = pe * math.sqrt(1.0 / (c_error * tau**slope_e) + rel_rate**2)
+        p_success, p_error = estimate_click_probabilities(_thinned(counts, tau))
         threshold, _, sigma_total = uncertainty_budget(
-            model, ProbabilityEstimate(ps, sigma_ps),
-            ProbabilityEstimate(pe, sigma_pe), sigma_eta,
+            model, p_success, p_error, sigma_eta
         )
-        return ps - threshold - sigma_level * sigma_total
+        return p_success.value - threshold - sigma_level * sigma_total
 
+    exps = _scaling_exponents(counts.kind)
+    log_tau = np.log(1.0 - scan.attenuations)
+    fit_meta = {}
+    for name, estimate, measured in zip(("success", "error"),
+                                        estimate_click_probabilities(counts),
+                                        (scan.p_success, scan.p_error)):
+        intercept = math.log(estimate.value)
+        residuals = np.log(measured) - (exps[name] * log_tau + intercept)
+        fit_meta[f"slope_{name}"] = float(exps[name])
+        fit_meta[f"intercept_{name}"] = intercept
+        fit_meta[f"residual_rms_{name}"] = float(np.sqrt(np.mean(residuals**2)))
     n_success_photons = 2 if counts.kind == "pair" else 1
-    fit_meta = {
-        "slope_success": float(slope_s),
-        "slope_error": float(slope_e),
-        "intercept_success": float(intercept_s),
-        "intercept_error": float(intercept_e),
-        "residual_rms_success": float(np.sqrt(np.mean(res_s**2))),
-        "residual_rms_error": float(np.sqrt(np.mean(res_e**2))),
-        "sigma_level": float(sigma_level),
-        "n_success_photons": n_success_photons,
-        "gap_at_unity": gap(1.0),
-    }
+    fit_meta.update(sigma_level=float(sigma_level),
+                    n_success_photons=n_success_photons, gap_at_unity=gap(1.0))
 
-    if gap(1.0) <= 0.0:
+    if fit_meta["gap_at_unity"] <= 0.0:
         return DepthResult(0.0, 1.0, "below_threshold", fit_meta)
-    if gap(tau_floor) > 0.0:
+    if gap(TAU_FLOOR) > 0.0:
         raise FitError(
-            f"trajectory still clears the threshold at tau={tau_floor:.1e}; "
-            "extend tau_floor"
+            f"trajectory still clears the threshold at tau={TAU_FLOOR:.1e}"
         )
-    tau_cross = brentq(gap, tau_floor, 1.0, xtol=1e-14, rtol=1e-13)
+    tau_cross = brentq(gap, TAU_FLOOR, 1.0, xtol=1e-14, rtol=1e-13)
     fit_meta["tau_cross"] = float(tau_cross)
     depth_db = -10.0 * math.log10(tau_cross) / n_success_photons
     return DepthResult(

@@ -239,7 +239,7 @@ def read_curve_csv(path):
 def write_scan_csv(path, scan):
     with open(path, "w", newline="") as fh:
         fh.write(f"# nongauss-attenuation-scan-csv v{SCHEMA_VERSION} "
-                 f"mode={scan.mode}\n")
+                 "mode=deterministic\n")
         writer = csv.writer(fh)
         writer.writerow(["attenuation", "p_e", "sigma_pe", "p_s", "sigma_ps"])
         for a, pe, spe, ps, sps in zip(scan.attenuations, scan.p_error,

@@ -59,6 +59,11 @@ def _check_point(alpha, eta, t_bs):
     DetectionConfig(eta, t_bs)  # names a bad eta or t_bs
 
 
+def _check_count(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _solve_point(kind, alpha, objective, seeds, warm, finish):
     """Multistart simplex at one penalty weight.
 
@@ -200,8 +205,7 @@ def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, warm_start=None):
     The search runs over one brightness shared by all modes.
     """
     _check_point(alpha, eta, t_bs)
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
+    _check_count("n_modes", n_modes, 1)
 
     def finish(x):
         mus = _pair_ensemble(x, n_modes)
@@ -277,8 +281,7 @@ def _sweep(kind, eta, t_bs, n_modes, solve, rescale, alpha_min, alpha_max, n_poi
     turns it into the next warm start.  A point that stalls is recorded
     in the curve's meta under "gaps" and the next one starts cold.
     """
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 2:
-        raise DomainError(f"points must be an integer >= 2, got {n_points!r}")
+    _check_count("points", n_points, 2)
     bounds = (alpha_min, alpha_max)
     if not all(isinstance(a, numbers.Real) and math.isfinite(a) for a in bounds):
         raise DomainError(f"alpha grid bounds must be finite numbers, got {bounds}")

@@ -117,6 +117,18 @@ def test_threshold_rejects_bad_n(capsys):
                  "--n", "many"]) == 1
 
 
+@pytest.mark.parametrize("n", [2.5, True], ids=["fractional", "bool"])
+def test_threshold_rejects_config_n(tmp_path, capsys, n):
+    # a config value skips the string conversion of --n
+    out = tmp_path / "curve"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "pair", "eta": 0.5, "n": n, "points": 3,
+                               "out": str(out)}))
+    assert main(["threshold", "--config", str(cfg)]) == 1
+    assert "n_modes" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve*"))
+
+
 def test_analyze_reference_pair_point(tmp_path, pair_file, capsys):
     out = tmp_path / "pair"
     code = main(["analyze", "--counts", str(pair_file), "--eta", "0.1467",
@@ -179,6 +191,20 @@ def test_analyze_splitter_refuses_sigma_eta(tmp_path):
     assert report["sigma_distance"] is None
     assert "efficiency uncertainty" in report["sigma_distance_note"]
     assert report["depth"]["status"] == "fit_failed"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--sigma-eta", "nan"), ("--sigma-level", "nan"), ("--sigma-eta", "-0.0034"),
+    ("--sigma-eta", "inf"), ("--sigma-level", "-1"),
+], ids=["nan-sigma-eta", "nan-sigma-level", "negative-sigma-eta", "inf-sigma-eta",
+        "negative-sigma-level"])
+def test_analyze_rejects_bad_uncertainty_flag(tmp_path, pair_file, capsys, flag, value):
+    # checked before the counts are read, so no scan or report is written
+    out = tmp_path / "x"
+    assert main(["analyze", "--counts", str(pair_file), "--eta", "0.1467",
+                 "--out", str(out), f"{flag}={value}"]) == 1
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_analyze_malformed_counts(tmp_path, capsys):
@@ -247,6 +273,22 @@ def test_config_unknown_field_rejected(tmp_path, capsys):
     cfg.write_text('{"mode": "pair", "not_a_field": 1}')
     assert main(["threshold", "--config", str(cfg), "--eta", "0.5"]) == 1
     assert "not_a_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("pulses", 2.5, "field 'pulses': expected int, got float"),
+    ("eta", True, "field 'eta': expected float, got bool"),
+    ("eta", [0.3], "field 'eta': expected float, got list"),
+], ids=["fractional-int", "bool-float", "list-float"])
+def test_config_field_needs_its_flag_type(tmp_path, capsys, field, value, message):
+    # argparse converts only strings, so other JSON values are checked on merge
+    out = tmp_path / "counts.json"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"source": "tmsv", "seed": 1, "pulses": 1000,
+                               "out": str(out), field: value}))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -192,6 +192,9 @@ def test_solver_error_paths(monkeypatch):
         maximize_single_rate(0.0, 0.5)
     with pytest.raises(DomainError):
         maximize_pair_rate(1e3, 0.5, n_modes=0)
+    for n_modes in (2.5, True):
+        with pytest.raises(DomainError, match="n_modes"):
+            maximize_pair_rate(1e3, 0.5, n_modes=n_modes)
     # the point solvers check the detection themselves
     with pytest.raises(DomainError, match="eta"):
         maximize_pair_rate(1e3, 1.5, n_modes=2)
