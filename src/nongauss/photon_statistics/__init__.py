@@ -12,6 +12,7 @@ from .gaussian import (
     beamsplit,
     no_click_after_loss,
     no_click_probability,
+    single_click_rates,
     single_photon_click_probs,
     to_covariance,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "no_click_probability",
     "number_distribution",
     "poisson_pair_click_probs",
+    "single_click_rates",
     "single_photon_click_probs",
     "tmsv_pair_click_probs_series",
     "to_covariance",

@@ -80,7 +80,8 @@ def no_click_after_loss(params, kappas, mathmod=math):
     """Vacuum-projection probabilities after transmitting each fraction in kappas.
 
     Scalar closed form of loss and a vacuum overlap, one value per kappa,
-    with the state terms computed once.  `mathmod` may be mpmath.
+    with the state terms computed once.  `mathmod` may be mpmath; then
+    pass the kappas as mpf too, or kappa * d * d is a double product.
     """
     d, r, theta = params.displacement_amplitude, params.squeezing, params.relative_angle
     em, ep = mathmod.expm1(-2.0 * r), mathmod.expm1(2.0 * r)
@@ -96,12 +97,68 @@ def no_click_after_loss(params, kappas, mathmod=math):
     return tuple(out)
 
 
+BRIGHT_PHOTONS = 2.0  # mean photon number above which the closed form takes over
+TAIL_REL = 1e-19  # the amplitude sum stops at two terms this small against both sums
+
+
+def single_click_rates(params, k1, k2):
+    """Dark-free success and double-click probabilities, in float64.
+
+    k1 and k2 are the transmissions to the two detectors.  p1 is the
+    chance that detector 1 clicks and p_error that both do.  Dim states
+    sum the photon-number probabilities P_n = |psi_n|^2 of D(alpha)S(r)|0>,
+    weighted by the chance that n photons light detector 1 (or both);
+    every weight and every term is positive, so p_error keeps its
+    relative precision where 1 - q1 - q2 + q12 would cancel all of it.
+    With t = tanh r and gamma = alpha + t alpha*, the amplitudes follow
+
+        psi_{n+1} = (gamma psi_n - t sqrt(n) psi_{n-1}) / sqrt(n + 1),
+
+    whose only subtraction, gamma^2 - t in psi_2, is backward stable.
+    Bright states (mean photon number above BRIGHT_PHOTONS) take the
+    closed form of no_click_after_loss, which does not cancel there.
+    """
+    if not (k1 >= 0.0 and k2 >= 0.0 and k1 + k2 <= 1.0):
+        raise DomainError(f"k1, k2 must be >= 0 with k1 + k2 <= 1, got {k1}, {k2}")
+    d, r, theta = params.displacement_amplitude, params.squeezing, params.relative_angle
+    h2 = 0.25 * d * d  # |alpha|^2
+    if h2 + math.sinh(r) ** 2 > BRIGHT_PHOTONS:
+        q1, q2, q12 = no_click_after_loss(params, (k1, k2, k1 + k2))
+        return 1.0 - q1, 1.0 - q1 - q2 + q12
+    t, h = math.tanh(r), 0.5 * d
+    gamma = complex(h * (1.0 + t) * math.cos(theta), h * (1.0 - t) * math.sin(theta))
+    # |psi_0|^2 = exp(-|alpha|^2 - Re(t alpha*^2)) / cosh r; its phase drops out
+    prev, psi = 0.0, math.sqrt(math.exp(-h2 * (1.0 + t * math.cos(2.0 * theta))) / math.cosh(r))
+    # chances that n photons light detector 1 (hit1), neither, just one
+    # detector (only1, only2) or both; adding a photon only adds to each
+    hit1, none, only1, only2, both = 0.0, 1.0, 0.0, 0.0, 0.0
+    a, b, c = 1.0 - k1, 1.0 - k2, 1.0 - k1 - k2
+    p1 = p_error = p_prev = 0.0
+    n = 0
+    while True:
+        p_n = psi.real * psi.real + psi.imag * psi.imag
+        p1 += p_n * hit1
+        p_error += p_n * both
+        # the recursion is second order: two negligible terms in a row
+        # bound everything after them
+        if p_prev + p_n <= TAIL_REL * min(p1, p_error):
+            return p1, p_error
+        both += k2 * only1 + k1 * only2
+        only1, only2 = b * only1 + k1 * none, a * only2 + k2 * none
+        hit1 = a * hit1 + k1
+        none *= c
+        prev, psi = psi, (gamma * psi - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
+        p_prev = p_n
+        n += 1
+
+
 def single_photon_click_probs(params, config=DetectionConfig()):
     """Click statistics of a state sent through loss and a splitter.
 
     Success: a click on the transmitted detector.  Error: clicks on
     both detectors in the same pulse.  The no-click probabilities come
-    from no_click_after_loss, the kernel the threshold solver uses.
+    from no_click_after_loss, the closed form the threshold solver
+    checks its solved points with.
     """
     eta, t = config.eta, config.t_bs
     q1, q2, q12 = no_click_after_loss(params, (eta * t, eta * (1.0 - t), eta))

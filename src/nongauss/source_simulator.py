@@ -12,6 +12,7 @@ the designated success detectors a1 and b1; the single-photon stream
 uses d1 (transmitted) and d2.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,12 @@ from .errors import DomainError
 from .photon_statistics.types import DetectionConfig, ModeEnsemble
 
 BLOCK = 1 << 20  # pulses per substream block; part of the output contract
+
+
+def _check_rep_rate(rep_rate_hz):
+    # the count duration is pulses / rate, so name the rate itself
+    if not (math.isfinite(rep_rate_hz) and rep_rate_hz > 0):
+        raise DomainError(f"rep_rate_hz must be finite and > 0, got {rep_rate_hz}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class QdSourceConfig:
     extraction_efficiency: float = 1.0
 
     def __post_init__(self):
-        if not (self.rep_rate_hz > 0):
-            raise DomainError("rep_rate_hz must be > 0")
+        _check_rep_rate(self.rep_rate_hz)
         if not (0.0 <= self.emission_prob <= 1.0):
             raise DomainError("emission_prob must lie in [0, 1]")
         if not (0.0 < self.blinking_on_fraction <= 1.0):
@@ -227,6 +233,7 @@ def simulate_multimode_tmsv(ensemble, detection, n_pulses, seed, rep_rate_hz=80e
         ensemble = ModeEnsemble(tuple(ensemble))
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be > 0, got {n_pulses}")
+    _check_rep_rate(rep_rate_hz)
     c_s = c_ea = c_eb = 0
     clicks = {"a1": 0, "a2": 0, "b1": 0, "b2": 0}
     for block_index, n in _blocks(n_pulses):
@@ -268,6 +275,7 @@ def simulate_single_photon_stream(double_emission_prob, detection, n_pulses, see
         raise DomainError("double_emission_prob must lie in [0, 1]")
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be > 0, got {n_pulses}")
+    _check_rep_rate(rep_rate_hz)
     c_success = c_error = 0
     clicks = {"d1": 0, "d2": 0}
     for block_index, n in _blocks(n_pulses):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, SolverError
-from .photon_statistics.gaussian import no_click_after_loss
+from .photon_statistics.gaussian import no_click_after_loss, single_click_rates
 from .photon_statistics.pair_formulas import multimode_click_rates
 from .photon_statistics.types import DetectionConfig, GaussianStateParams
 
@@ -37,7 +37,7 @@ SEED_SCALES = (0.5, 1.0, 2.0)  # cold-start multiples of the seed guess
 XATOL = 1e-10
 MAXITER = 6000  # cold start; maxfev is twice this
 WARM_MAXITER = 2000  # warm-started point of a sweep
-MP_DPS = 50  # digits of the single-photon objective
+MP_DPS = 50  # digits of the one re-evaluation of each solved single-photon point
 RESIDUAL_TOL = 1e-5  # largest relative f-spread of an accepted simplex
 
 
@@ -115,14 +115,12 @@ def _single_state(x):
     )
 
 
-def _single_objective(alpha, kappas):
+def _single_objective(alpha, k1, k2):
     def objective(x):
         if x[0] > 3.0 or x[1] > 3.0:
             return 1e10
-        q1, q2, q12 = no_click_after_loss(_single_state(x), kappas, mathmod=mpmath)
-        p1 = 1 - q1
-        p2 = 1 - q1 - q2 + q12
-        return -float(p1 - alpha * p2)
+        p1, p_error = single_click_rates(_single_state(x), k1, k2)
+        return -(p1 - alpha * p_error)
 
     return objective
 
@@ -151,22 +149,28 @@ def _single_seeds(alpha, eta, t_bs, warm_start):
 def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     """Best displaced squeezed vacuum at one penalty weight.
 
-    The inner click probabilities run at extended precision because the
-    double-click rate at the optimum sits far below the cancellation
-    floor of doubles once alpha is large.
+    The search runs in float64 on single_click_rates, whose photon-number
+    sum keeps the double-click rate's relative precision far below the
+    cancellation floor of 1 - q1 - q2 + q12.  The solved point is then
+    evaluated once more by the closed form at MP_DPS digits, an
+    independent route, and those are the rates it reports.
     """
     _check_point(alpha, eta, t_bs)
-    kappas = (eta * t_bs, eta * (1.0 - t_bs), eta)
+    k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
 
     def finish(x):
         params = _single_state(x).canonical()
-        q1, q2, q12 = no_click_after_loss(params, kappas, mathmod=mpmath)
-        return dataclasses.asdict(params), float(1 - q1), float(1 - q1 - q2 + q12)
+        with mpmath.workdps(MP_DPS):
+            # kappas as mpf, so that no product is rounded to a double
+            # and the third transmission is exactly k1 + k2
+            kappas = (mpmath.mpf(k1), mpmath.mpf(k2), mpmath.mpf(k1) + k2)
+            q1, q2, q12 = no_click_after_loss(params, kappas, mathmod=mpmath)
+            p_success, p_error = float(1 - q1), float(1 - q1 - q2 + q12)
+        return dataclasses.asdict(params), p_success, p_error
 
-    with mpmath.workdps(MP_DPS):
-        return _solve_point("single", alpha, _single_objective(alpha, kappas),
-                            _single_seeds(alpha, eta, t_bs, warm_start),
-                            warm_start is not None, finish)
+    return _solve_point("single", alpha, _single_objective(alpha, k1, k2),
+                        _single_seeds(alpha, eta, t_bs, warm_start),
+                        warm_start is not None, finish)
 
 
 def _pair_ensemble(x, n_modes):

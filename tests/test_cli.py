@@ -248,6 +248,17 @@ def test_simulate_tags_require_qd(tmp_path, capsys):
     assert "qd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["qd", "tmsv", "single"])
+@pytest.mark.parametrize("rate", ["nan", "inf", "-5"])
+def test_simulate_rejects_bad_rep_rate(tmp_path, capsys, source, rate):
+    # the rate is named itself, not the count duration derived from it
+    out = tmp_path / "c.json"
+    assert main(["simulate", "--source", source, "--seed", "1", "--pulses", "1000",
+                 f"--rep-rate={rate}", "--out", str(out)]) == 1
+    assert "rep_rate_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_seed(capsys):
     assert main(["simulate", "--source", "tmsv", "--out", "x.json"]) == 1
     assert "seed" in capsys.readouterr().err

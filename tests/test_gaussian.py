@@ -15,6 +15,9 @@ from nongauss.photon_statistics import (
     single_photon_click_probs,
     to_covariance,
 )
+from nongauss.photon_statistics.fock_oracle import number_distribution
+from nongauss.photon_statistics.gaussian import BRIGHT_PHOTONS, single_click_rates
+from nongauss.threshold_solver import single_threshold_curve
 
 
 def test_vacuum_never_clicks():
@@ -131,3 +134,85 @@ def test_domain_errors():
     split = beamsplit(form, 0.5)
     with pytest.raises(DomainError):
         beamsplit(split, 0.5)
+
+
+def _rates_50_digits(params, k1, k2):
+    # the closed form with every product in mpf, and the joint
+    # transmission exactly k1 + k2
+    with mpmath.workdps(50):
+        k1m, k2m = mpmath.mpf(k1), mpmath.mpf(k2)
+        q1, q2, q12 = no_click_after_loss(params, (k1m, k2m, k1m + k2m), mathmod=mpmath)
+        return float(1 - q1), float(1 - q1 - q2 + q12)
+
+
+def _rates_from_fock(params, k1, k2):
+    # the oracle's number distribution under the same weights, taken at
+    # 40 digits because in doubles they cancel for small k
+    probs = number_distribution(params)
+    with mpmath.workdps(40):
+        a, b, c = 1 - mpmath.mpf(k1), 1 - mpmath.mpf(k2), 1 - mpmath.mpf(k1) - k2
+        hit1 = [float(1 - a**n) for n in range(probs.size)]
+        both = [float(1 - a**n - b**n + c**n) for n in range(probs.size)]
+    return float(np.dot(probs, hit1)), float(np.dot(probs, both))
+
+
+def _assert_rates_match(state, k1, k2, fock=True):
+    fast = single_click_rates(state, k1, k2)
+    assert fast == pytest.approx(_rates_50_digits(state, k1, k2), rel=1e-13, abs=0.0)
+    if fock:
+        assert fast == pytest.approx(_rates_from_fock(state, k1, k2), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5, 0.1467])
+def test_single_click_rates_at_solved_optima(eta):
+    # the boundary states, alpha = 1 .. 1e12, where p_error falls to
+    # 1e-20 near the two-photon cancellation locus, and states 3% and 10%
+    # off in squeezing or 0.01 in angle.  Nearer the locus the rounding
+    # of tanh(r) and (d/2)**2 is amplified by the cancellation: 1% off
+    # in squeezing agrees only to 8e-14
+    curve = single_threshold_curve(eta, n_points=13)
+    k = 0.5 * eta
+    for params in curve.params:
+        state = GaussianStateParams(**params)
+        _assert_rates_match(state, k, k)
+        d, r, theta = state.displacement_amplitude, state.squeezing, state.relative_angle
+        for nudged in (GaussianStateParams(d, r * f, theta) for f in (0.9, 0.97, 1.03, 1.1)):
+            _assert_rates_match(nudged, k, k, fock=False)
+        for dt in (-0.01, 0.01):
+            _assert_rates_match(GaussianStateParams(d, r, theta + dt), k, k, fock=False)
+
+
+def test_single_click_rates_on_random_states():
+    # both sides of the switch to the closed form, at uneven splitters
+    rng = np.random.default_rng(13)
+    dim = bright = 0
+    for _ in range(80):
+        state = GaussianStateParams(2.0 * math.exp(rng.uniform(-8, 1.2)),
+                                    math.exp(rng.uniform(-10, 0.5)), rng.uniform(-1, 4))
+        k1 = rng.uniform(0.02, 0.6)
+        k2 = rng.uniform(0.02, 1.0 - k1)
+        _assert_rates_match(state, k1, k2)
+        if state.mean_photon_number > BRIGHT_PHOTONS:
+            bright += 1
+        else:
+            dim += 1
+    assert dim > 20 and bright > 8
+
+
+def test_single_click_rates_coherent_state():
+    # no squeezing: the amplitude sum is Poissonian and the two
+    # detectors independent, with nothing left to cancel
+    for d in (2e-6, 0.02, 1.0):
+        mu = (d / 2.0) ** 2
+        p1, p_error = single_click_rates(GaussianStateParams(d, 0.0), 0.3, 0.2)
+        assert p1 == pytest.approx(-math.expm1(-0.3 * mu), rel=1e-14, abs=0.0)
+        assert p_error == pytest.approx(math.expm1(-0.3 * mu) * math.expm1(-0.2 * mu),
+                                        rel=1e-14, abs=0.0)
+
+
+def test_single_click_rates_domain():
+    state = GaussianStateParams(0.1, 0.01)
+    assert single_click_rates(GaussianStateParams(0.0, 0.0), 0.5, 0.5) == (0.0, 0.0)
+    for k1, k2 in ((-0.1, 0.5), (0.5, 0.6), (float("nan"), 0.1)):
+        with pytest.raises(DomainError):
+            single_click_rates(state, k1, k2)

@@ -5,6 +5,7 @@ from scipy.optimize import minimize
 from nongauss import DomainError, SolverError, threshold_solver
 from nongauss.cli import main
 from nongauss.io_formats import read_curve_csv, read_curve_json
+from nongauss.photon_statistics import GaussianStateParams, single_click_rates
 from nongauss.photon_statistics.pair_formulas import multimode_click_rates
 from nongauss.threshold_solver import (
     PairThresholdModel,
@@ -117,27 +118,39 @@ def test_no_lopsided_ensemble_beats_uniform(alpha, n_modes):
     assert best <= uniform.objective * (1.0 + 1e-12)
 
 
+# p_success, p_error of the search path before the float64 objective
+BEFORE_FLOAT64 = {
+    (1.0, 0.5): (0.49715470117485444, 0.2232374552062626),
+    (1e12, 0.5): (1.666669901313014e-07, 5.55557172403619e-20),
+    (1e4, 0.1467): (0.0008475222161336281, 2.884094485582855e-08),
+}
+
+
 @pytest.mark.parametrize("alpha,eta,expected", [
-    (1.0, 0.5, (0.49715470117485444, 0.2232374552062626, 0.27391724596859185,
-                {"displacement_amplitude": 3.024804754709668,
-                 "squeezing": 0.5349759724988536,
-                 "relative_angle": 3.1415926438758643})),
-    (1e12, 0.5, (1.666669901313014e-07, 5.55557172403619e-20, 1.1111127289093948e-07,
-                 {"displacement_amplitude": 0.0016329942021712702,
-                  "squeezing": 6.666664049757358e-07,
-                  "relative_angle": 4.440789595634348e-12})),
-    (1e4, 0.1467, (0.0008475222161336281, 2.884094485582855e-08, 0.0005591127675753427,
-                   {"displacement_amplitude": 0.2138581426489627,
-                    "squeezing": 0.010994092196243347,
-                    "relative_angle": 6.518313377321006e-10})),
+    (1.0, 0.5, (0.4971547093069237, 0.2232374633383319, 0.273917245968592,
+                {"displacement_amplitude": 3.024804804404515,
+                 "squeezing": 0.5349759584283944,
+                 "relative_angle": 5.761962246674593e-10})),
+    (1e12, 0.5, (1.6666699042665376e-07, 5.555571753571429e-20, 1.1111127289093951e-07,
+                 {"displacement_amplitude": 0.0016329942036181926,
+                  "squeezing": 6.666664061397168e-07,
+                  "relative_angle": 1.4040950542994924e-12})),
+    (1e4, 0.1467, (0.0008475222159267423, 2.8840944835139965e-08, 0.0005591127675753429,
+                   {"displacement_amplitude": 0.2138581426235672,
+                    "squeezing": 0.010994092191460853,
+                    "relative_angle": 9.244607744732557e-10})),
 ])
 def test_single_search_path_is_pinned(alpha, eta, expected):
     # F is flat at the optimum, so any change in the objective's float
     # values (2**-50 relative in p_error is enough) sends the cold
     # Nelder-Mead search to another boundary point; these are the exact
-    # results of the 50-digit objective with one kernel call per kappa
+    # results of the float64 objective, re-evaluated at 50 digits
     opt = maximize_single_rate(alpha, eta)
     assert (opt.p_success, opt.p_error, opt.objective, opt.params) == expected
+    # the 50-digit objective's search ended on the same boundary
+    p_success, p_error = BEFORE_FLOAT64[alpha, eta]
+    assert opt.p_success == pytest.approx(p_success, rel=1e-7, abs=0.0)
+    assert opt.p_error == pytest.approx(p_error, rel=1e-7, abs=0.0)
 
 
 def test_single_curve_sweep():
@@ -145,6 +158,10 @@ def test_single_curve_sweep():
     assert curve.kind == "single"
     assert np.all(np.diff(curve.p_error) > 0)
     assert np.all(curve.residuals <= threshold_solver.RESIDUAL_TOL)
+    # the float64 rates the search saw match the 50-digit re-evaluation
+    for params, p_s, p_e in zip(curve.params, curve.p_success, curve.p_error):
+        fast = single_click_rates(GaussianStateParams(**params), 0.25, 0.25)
+        assert fast == pytest.approx((p_s, p_e), rel=1e-12, abs=0.0)
     pe = 1e-9
     assert curve.value(pe) == pytest.approx(
         SinglePhotonThresholdModel(0.5).value(pe), rel=0.02

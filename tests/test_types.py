@@ -25,6 +25,10 @@ def test_state_params_validation():
 def test_state_params_canonical_angle():
     p = GaussianStateParams(1.0, 0.5, np.pi + 0.3).canonical()
     assert p.relative_angle == pytest.approx(0.3, abs=1e-12)
+    # theta, -theta and pi - theta are one state: fold into [0, pi/2]
+    p = GaussianStateParams(1.0, 0.5, np.pi - 0.3).canonical()
+    assert p.relative_angle == pytest.approx(0.3, abs=1e-12)
+    assert GaussianStateParams(1.0, 0.5, -1e-12).canonical().relative_angle == 1e-12
     # angle is meaningless without both displacement and squeezing
     assert GaussianStateParams(0.0, 0.5, 1.0).canonical().relative_angle == 0.0
     assert GaussianStateParams(1.0, 0.0, 1.0).canonical().relative_angle == 0.0
