@@ -89,17 +89,6 @@ class CountSummary:
         return self.error_count_a
 
 
-def generation_rate(rep_rate_hz, blinking_factor, polarization_factor):
-    """Effective generation rate: repetition rate times duty factors."""
-    if not (rep_rate_hz > 0):
-        raise DomainError(f"rep_rate_hz must be > 0, got {rep_rate_hz}")
-    for name, f in (("blinking_factor", blinking_factor),
-                    ("polarization_factor", polarization_factor)):
-        if not (0.0 < f <= 1.0):
-            raise DomainError(f"{name} must lie in (0, 1], got {f}")
-    return rep_rate_hz * blinking_factor * polarization_factor
-
-
 def _poisson_estimate(count, trials, rel_rate_sigma):
     value = count / trials
     if count <= 0:

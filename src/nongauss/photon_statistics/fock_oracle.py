@@ -10,8 +10,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..errors import PrecisionError
-from .gaussian import _splitter_click_probs
-from .types import DetectionConfig
+from .pair_formulas import _with_dark
+from .types import ClickProbabilities, DetectionConfig
 
 DEFAULT_TAIL_TOL = 1e-10
 
@@ -86,7 +86,15 @@ def click_probs_from_number_distribution(probs, config=DetectionConfig()):
     q1 = pgf(1.0 - config.eta * config.t_bs)
     q2 = pgf(1.0 - config.eta * (1.0 - config.t_bs))
     q12 = pgf(1.0 - config.eta)
-    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob)
+    dark = config.dark_count_prob
+    p1 = 1.0 - q1
+    p_success = p1 + dark * q1  # one detector: 1 - (1 - dark) q1
+    p_error = _with_dark(p1 - q2 + q12, p1, 1.0 - q2, 1.0 - q12, dark)
+    # tiny negative values can appear from rounding when p_error ~ 1e-17
+    return ClickProbabilities(
+        p_success=min(max(p_success, 0.0), 1.0),
+        p_error=min(max(p_error, 0.0), 1.0),
+    )
 
 
 def fock_oracle_click_probs(params, config=DetectionConfig(), cutoff=None,

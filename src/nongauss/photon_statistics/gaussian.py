@@ -156,27 +156,20 @@ def single_photon_click_probs(params, config=DetectionConfig()):
     """Click statistics of a state sent through loss and a splitter.
 
     Success: a click on the transmitted detector.  Error: clicks on
-    both detectors in the same pulse.  The no-click probabilities come
-    from no_click_after_loss, the closed form the threshold solver
-    checks its solved points with.
+    both detectors in the same pulse.  The dark-free rates come from
+    single_click_rates, the kernel the threshold solver searches with;
+    dark clicks follow the pair kernel's rule.
     """
-    eta, t = config.eta, config.t_bs
-    q1, q2, q12 = no_click_after_loss(params, (eta * t, eta * (1.0 - t), eta))
-    return _splitter_click_probs(q1, q2, q12, config.dark_count_prob)
-
-
-def _splitter_click_probs(q1, q2, q12, dark):
-    """Click statistics from the dark-free no-click probabilities.
-
-    q1 and q2 belong to the transmitted and reflected detector, q12 to
-    both at once.  Dark clicks follow the pair kernel's rule.
-    """
-    p1 = 1.0 - q1
-    p_success = p1 + dark * q1  # one detector: 1 - (1 - dark) q1
-    p_error = _with_dark(p1 - q2 + q12, p1, 1.0 - q2, 1.0 - q12, dark)
-    # Tiny negative values can appear from rounding when p_error ~ 1e-17.
+    eta, t, dark = config.eta, config.t_bs, config.dark_count_prob
+    k1, k2 = eta * t, eta * (1.0 - t)
+    p1, p_error = single_click_rates(params, k1, k2)
+    p_success = p1
+    if dark:
+        p2 = single_click_rates(params, k2, k1)[0]
+        p_success = p1 + dark * (1.0 - p1)  # one detector: 1 - (1 - dark)(1 - p1)
+        p_error = _with_dark(p_error, p1, p2, p1 + p2 - p_error, dark)
+    # the bright closed form can round p_error a little below zero
     return ClickProbabilities(
         p_success=min(max(p_success, 0.0), 1.0),
         p_error=min(max(p_error, 0.0), 1.0),
-        meta={"q_success": q1, "q_other": q2, "q_both": q12},
     )

@@ -120,8 +120,19 @@ def tmsv_pair_click_probs_series(mu, config=DetectionConfig(), tail_tol=1e-18):
     p_s = float(np.sum(weights * click(1.0 - eta * ta) * click(1.0 - eta * tb)))
 
     def error_arm(t):
-        a, b, c = 1.0 - eta * t, 1.0 - eta * (1.0 - t), 1.0 - eta
-        return float(np.sum(weights * (1.0 - a**n - b**n + c**n)))
+        # chance that n photons light both detectors, built up one photon
+        # at a time from positive terms; 1 - a**n - b**n + c**n leaves
+        # ~1e-16 at n = 1, where it is exactly 0, and at small mu that
+        # residue is a visible part of the error rate
+        k1, k2 = eta * t, eta * (1.0 - t)
+        a, b, c = 1.0 - k1, 1.0 - k2, 1.0 - eta
+        none, only1, only2 = 1.0, 0.0, 0.0
+        both = np.zeros(nmax)
+        for i in range(1, nmax):
+            both[i] = both[i - 1] + k2 * only1 + k1 * only2
+            only1, only2 = b * only1 + k1 * none, a * only2 + k2 * none
+            none *= c
+        return float(np.sum(weights * both))
 
     p_e = 0.5 * (error_arm(ta) + error_arm(tb))
     dark = config.dark_count_prob

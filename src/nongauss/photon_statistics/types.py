@@ -3,7 +3,6 @@
 Quadrature convention: x = a + a*, p = -i(a - a*), vacuum covariance = identity.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ class GaussianStateParams:
         Squeezing magnitude r >= 0.  The x variance is exp(-2r).
     relative_angle
         Angle between the displacement direction and the squeezed
-        quadrature axis; canonical() folds it into [0, pi/2].
+        quadrature axis.
     """
 
     displacement_amplitude: float
@@ -38,22 +37,6 @@ class GaussianStateParams:
             raise DomainError(f"squeezing must be finite and >= 0, got {self.squeezing}")
         if not np.isfinite(self.relative_angle):
             raise DomainError(f"relative_angle must be finite, got {self.relative_angle}")
-
-    def canonical(self):
-        """Fold the angle into [0, pi/2]; zero it when it has no effect.
-
-        The photon-number distribution, and so every click probability,
-        depends on the angle only through cos(theta)**2, so theta, -theta
-        and pi - theta are the same state for detection.  Reducing modulo
-        pi alone would store a tiny negative angle from the optimizer as
-        nearly pi; the fold keeps it tiny.  The angle is irrelevant when
-        either the displacement or the squeezing vanishes, so those
-        states get a single representative.
-        """
-        angle = abs(math.remainder(self.relative_angle, math.pi))
-        if self.displacement_amplitude == 0.0 or self.squeezing == 0.0:
-            angle = 0.0
-        return GaussianStateParams(self.displacement_amplitude, self.squeezing, angle)
 
     @property
     def mean_photon_number(self):

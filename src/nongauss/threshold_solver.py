@@ -107,11 +107,10 @@ def _solve_point(kind, alpha, objective, seeds, warm, finish):
 
 
 def _single_state(x):
-    log_d, log_r, theta = x
+    log_d, log_r = x
     return GaussianStateParams(
         float(np.exp(max(log_d, LOG_FLOOR))),
         float(np.exp(max(log_r, LOG_FLOOR))),
-        float(theta),
     )
 
 
@@ -127,31 +126,33 @@ def _single_objective(alpha, k1, k2):
 
 def _single_seeds(alpha, eta, t_bs, warm_start):
     # the optimum sits near the locus where one- and two-photon
-    # amplitudes cancel: r ~ (d/2)^2, theta = 0, and the success rate
-    # scales like sqrt(c / (3 alpha)) with c the small-rate coefficient
+    # amplitudes cancel, r ~ (d/2)^2, and the success rate scales like
+    # sqrt(c / (3 alpha)) with c the small-rate coefficient
     c = eta / (4.0 * (2.0 - eta))
     p1_guess = np.sqrt(c / (3.0 * alpha))
     d0 = 2.0 * np.sqrt(max(p1_guess / (eta * t_bs), 1e-300))
     seeds = []
     if warm_start is not None:
         d, r = warm_start["displacement_amplitude"], warm_start["squeezing"]
-        theta = warm_start["relative_angle"]
         if d > 0 and r > 0:
-            seeds.append((np.log(d), np.log(r), theta))
+            seeds.append((np.log(d), np.log(r)))
     for fac in SEED_SCALES if warm_start is None else (1.0,):
         d = d0 * fac
-        seeds.append((np.log(d), np.log(max((d / 2.0) ** 2, 1e-300)), 0.0))
+        seeds.append((np.log(d), np.log(max((d / 2.0) ** 2, 1e-300))))
     if warm_start is None:
-        seeds.append((np.log(0.5), np.log(0.05), 0.1))
+        seeds.append((np.log(0.5), np.log(0.05)))
     return seeds
 
 
 def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     """Best displaced squeezed vacuum at one penalty weight.
 
-    The search runs in float64 on single_click_rates, whose photon-number
-    sum keeps the double-click rate's relative precision far below the
-    cancellation floor of 1 - q1 - q2 + q12.  The solved point is then
+    The search runs over (log d, log r) at relative angle 0, where the
+    one- and two-photon amplitudes can cancel (gamma^2 = tanh r); a
+    search over the angle as well finds no better state.  It runs in
+    float64 on single_click_rates, whose photon-number sum keeps the
+    double-click rate's relative precision far below the cancellation
+    floor of 1 - q1 - q2 + q12.  The solved point is then
     evaluated once more by the closed form at MP_DPS digits, an
     independent route, and those are the rates it reports.
     """
@@ -159,7 +160,7 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
 
     def finish(x):
-        params = _single_state(x).canonical()
+        params = _single_state(x)
         with mpmath.workdps(MP_DPS):
             # kappas as mpf, so that no product is rounded to a double
             # and the third transmission is exactly k1 + k2
@@ -323,7 +324,6 @@ def single_threshold_curve(eta, t_bs=0.5, *, alpha_min=1.0, alpha_max=1e12, n_po
         lambda params, step: {
             "displacement_amplitude": params["displacement_amplitude"] * step**-0.25,
             "squeezing": params["squeezing"] * step**-0.5,
-            "relative_angle": params["relative_angle"],
         },
         alpha_min, alpha_max, n_points)
 

@@ -12,7 +12,6 @@ from nongauss.counts_analyzer import (
     blinking_fit,
     depth_fit,
     estimate_click_probabilities,
-    generation_rate,
     sigma_distance,
     undersample,
 )
@@ -63,17 +62,6 @@ def test_count_summary_validation():
         CountSummary("pair", 1.0, 1e6, -1, 1, 2)
     with pytest.raises(DomainError):
         CountSummary("triple", 1.0, 1e6, 10, 1, 2)
-
-
-def test_generation_rate():
-    assert generation_rate(80e6, 0.566, 0.5) == pytest.approx(22.64e6, rel=1e-12)
-    assert generation_rate(80e6, 1.0, 1.0) == 80e6
-    with pytest.raises(DomainError):
-        generation_rate(80e6, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        generation_rate(80e6, 0.5, 1.2)
-    with pytest.raises(DomainError):
-        generation_rate(-1.0, 0.5, 0.5)
 
 
 def test_probability_estimates_reference_point():

@@ -17,7 +17,7 @@ from nongauss.photon_statistics import (
 def test_coherent_number_distribution_is_poisson():
     probs = number_distribution(GaussianStateParams(2.0, 0.0))
     for n in range(5):
-        assert probs[n] == pytest.approx(math.exp(-1.0) / math.factorial(n), rel=1e-11)
+        assert probs[n] == pytest.approx(math.exp(-1.0) / math.factorial(n), rel=1e-11, abs=0.0)
 
 
 def test_squeezed_number_distribution():
@@ -26,15 +26,15 @@ def test_squeezed_number_distribution():
     # squeezed vacuum populates only even numbers
     assert probs[1] == pytest.approx(0.0, abs=1e-20)
     assert probs[3] == pytest.approx(0.0, abs=1e-20)
-    assert probs[0] == pytest.approx(1.0 / math.cosh(r), rel=1e-12)
-    assert probs[2] / probs[0] == pytest.approx(0.5 * math.tanh(r) ** 2, rel=1e-12)
+    assert probs[0] == pytest.approx(1.0 / math.cosh(r), rel=1e-12, abs=0.0)
+    assert probs[2] / probs[0] == pytest.approx(0.5 * math.tanh(r) ** 2, rel=1e-12, abs=0.0)
 
 
 def test_single_photon_cannot_double_click():
     dist = np.array([0.0, 1.0])
     cfg = DetectionConfig(eta=0.8, t_bs=0.3)
     probs = click_probs_from_number_distribution(dist, cfg)
-    assert probs.p_success == pytest.approx(0.8 * 0.3, rel=1e-14)
+    assert probs.p_success == pytest.approx(0.8 * 0.3, rel=1e-14, abs=0.0)
     assert probs.p_error == pytest.approx(0.0, abs=1e-16)
 
 

@@ -30,8 +30,8 @@ def test_coherent_no_click_is_poissonian():
     # displacement length 2 means |alpha|^2 = 1, so P(no click) = exp(-kappa)
     state = GaussianStateParams(2.0, 0.0)
     q_full, q_part = no_click_after_loss(state, (1.0, 0.37))
-    assert q_full == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert q_part == pytest.approx(math.exp(-0.37), rel=1e-14)
+    assert q_full == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
+    assert q_part == pytest.approx(math.exp(-0.37), rel=1e-14, abs=0.0)
 
 
 def test_squeezed_vacuum_no_click():
@@ -39,7 +39,7 @@ def test_squeezed_vacuum_no_click():
     for r in (0.2, 1.0, 2.5):
         state = GaussianStateParams(0.0, r)
         (q,) = no_click_after_loss(state, (1.0,))
-        assert q == pytest.approx(1.0 / math.cosh(r), rel=1e-13)
+        assert q == pytest.approx(1.0 / math.cosh(r), rel=1e-13, abs=0.0)
 
 
 def test_scalar_matches_covariance_pipeline():
@@ -64,7 +64,7 @@ def test_no_click_after_loss_supports_mpmath():
     with mpmath.workdps(40):
         (hi,) = no_click_after_loss(state, (0.6,), mathmod=mpmath)
     (lo,) = no_click_after_loss(state, (0.6,))
-    assert float(hi) == pytest.approx(lo, rel=1e-13)
+    assert float(hi) == pytest.approx(lo, rel=1e-13, abs=0.0)
     assert isinstance(hi, mpmath.mpf)
 
 
@@ -109,7 +109,7 @@ def test_beamsplit_preserves_total_vacuum_overlap():
     form = to_covariance(GaussianStateParams(1.1, 0.5, 0.4))
     split = beamsplit(form, 0.37)
     assert no_click_probability(split) == pytest.approx(
-        no_click_probability(form), rel=1e-13
+        no_click_probability(form), rel=1e-13, abs=0.0
     )
     assert split.n_modes == 2
 
@@ -117,8 +117,34 @@ def test_beamsplit_preserves_total_vacuum_overlap():
 def test_dark_counts_on_vacuum():
     cfg = DetectionConfig(eta=0.9, dark_count_prob=1e-3)
     probs = single_photon_click_probs(GaussianStateParams(0.0, 0.0), cfg)
-    assert probs.p_success == pytest.approx(1e-3, rel=1e-12)
-    assert probs.p_error == pytest.approx(1e-6, rel=1e-9)
+    assert probs.p_success == pytest.approx(1e-3, rel=1e-12, abs=0.0)
+    assert probs.p_error == pytest.approx(1e-6, rel=1e-9, abs=0.0)
+
+
+def test_click_probs_at_a_boundary_state():
+    # the alpha = 1e12, eta = 0.5 optimum, whose p_error of 5.6e-20 lies
+    # far below the 1e-16 that 1 - q1 - q2 + q12 can resolve in doubles
+    state = GaussianStateParams(0.0016329942, 6.666664e-7)
+    probs = single_photon_click_probs(state, DetectionConfig(eta=0.5))
+    assert probs.p_error == pytest.approx(5.5556e-20, rel=1e-4, abs=0.0)
+    assert (probs.p_success, probs.p_error) == pytest.approx(
+        _rates_50_digits(state, 0.25, 0.25), rel=1e-12, abs=0.0)
+
+
+def test_dark_counts_match_the_closed_form():
+    # 1 - k q1 - k q2 + k^2 q12 with k = 1 - dark and every q at 50 digits
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        state = GaussianStateParams(
+            rng.uniform(0, 2.5), rng.uniform(0, 1.2), rng.uniform(0, np.pi)
+        )
+        eta, t, dark = rng.uniform(0.05, 1.0), rng.uniform(0.2, 0.8), 10 ** rng.uniform(-6, -2)
+        got = single_photon_click_probs(state, DetectionConfig(eta, t, dark_count_prob=dark))
+        with mpmath.workdps(50):
+            k1, k2, k = mpmath.mpf(eta * t), mpmath.mpf(eta * (1.0 - t)), 1 - mpmath.mpf(dark)
+            q1, q2, q12 = no_click_after_loss(state, (k1, k2, k1 + k2), mathmod=mpmath)
+            expected = float(1 - k * q1), float(1 - k * q1 - k * q2 + k * k * q12)
+        assert (got.p_success, got.p_error) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_domain_errors():

@@ -53,8 +53,8 @@ def test_multimode_reduces_to_single_mode():
     for mu in (1e-5, 0.2, 0.8):
         a = tmsv_pair_click_probs_series(mu, cfg)
         b = multimode_pair_click_probs(ModeEnsemble((0.0, mu, 0.0)), cfg)
-        assert b.p_success == pytest.approx(a.p_success, rel=1e-12)
-        assert b.p_error == pytest.approx(a.p_error, rel=1e-12)
+        assert b.p_success == pytest.approx(a.p_success, rel=1e-12, abs=0.0)
+        assert b.p_error == pytest.approx(a.p_error, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("mus,dark", [

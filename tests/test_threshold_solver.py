@@ -20,48 +20,49 @@ from nongauss.threshold_solver import (
 
 
 def test_single_model_closed_form():
-    assert SinglePhotonThresholdModel(1.0).coefficient == pytest.approx(0.25)
-    assert SinglePhotonThresholdModel(0.5).coefficient == pytest.approx(1.0 / 12.0)
+    assert SinglePhotonThresholdModel(1.0).coefficient == pytest.approx(0.25, abs=0.0)
+    assert SinglePhotonThresholdModel(0.5).coefficient == pytest.approx(1.0 / 12.0, abs=0.0)
     model = SinglePhotonThresholdModel(0.6)
     pe = 1e-9
-    assert model.value(pe) == pytest.approx((model.coefficient * pe) ** (1 / 3), rel=1e-12)
+    assert model.value(pe) == pytest.approx((model.coefficient * pe) ** (1 / 3),
+                                            rel=1e-12, abs=0.0)
     # slope and efficiency sensitivity against numeric derivatives
     h = 1e-6
     num_slope = (model.value(pe * (1 + h)) - model.value(pe * (1 - h))) / (2 * h * pe)
-    assert model.slope(pe) == pytest.approx(num_slope, rel=1e-6)
+    assert model.slope(pe) == pytest.approx(num_slope, rel=1e-6, abs=0.0)
     num_eta = (
         SinglePhotonThresholdModel(0.6 + h).value(pe)
         - SinglePhotonThresholdModel(0.6 - h).value(pe)
     ) / (2 * h)
-    assert model.eta_sensitivity(pe) == pytest.approx(num_eta, rel=1e-6)
+    assert model.eta_sensitivity(pe) == pytest.approx(num_eta, rel=1e-6, abs=0.0)
 
 
 def test_pair_model_closed_form():
     model = PairThresholdModel(0.1467)
     pe = 2.926e-8
     first = 0.5 * 0.1467 * np.sqrt(pe)
-    assert model.value(pe) == pytest.approx(first + model.curvature * pe, rel=1e-12)
+    assert model.value(pe) == pytest.approx(first + model.curvature * pe, rel=1e-12, abs=0.0)
     h = 1e-6
     num_slope = (model.value(pe * (1 + h)) - model.value(pe * (1 - h))) / (2 * h * pe)
-    assert model.slope(pe) == pytest.approx(num_slope, rel=1e-6)
+    assert model.slope(pe) == pytest.approx(num_slope, rel=1e-6, abs=0.0)
     num_eta = (
         PairThresholdModel(0.1467 + h).value(pe) - PairThresholdModel(0.1467 - h).value(pe)
     ) / (2 * h)
-    assert model.eta_sensitivity(pe) == pytest.approx(num_eta, rel=1e-6)
+    assert model.eta_sensitivity(pe) == pytest.approx(num_eta, rel=1e-6, abs=0.0)
 
 
 def test_splitter_bound_round_trip():
     # lossless double-click floor: p_error = 2 (1 - t) p_success**3 / t**2
-    assert SplitterThresholdModel(0.5).value(4e-9) == pytest.approx(1e-3, rel=1e-12)
+    assert SplitterThresholdModel(0.5).value(4e-9) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
     t = 0.5166
     model = SplitterThresholdModel(t)
     for p in (1e-4, 1e-2):
         floor = 2.0 * (1.0 - t) * p**3 / t**2
-        assert model.value(floor) == pytest.approx(p, rel=1e-12)
-        assert model.slope(floor) == pytest.approx(p / (3.0 * floor), rel=1e-12)
+        assert model.value(floor) == pytest.approx(p, rel=1e-12, abs=0.0)
+        assert model.slope(floor) == pytest.approx(p / (3.0 * floor), rel=1e-12, abs=0.0)
     # balanced splitter without loss reproduces the single-photon model
     assert SplitterThresholdModel(0.5).coefficient == pytest.approx(
-        SinglePhotonThresholdModel(1.0).coefficient
+        SinglePhotonThresholdModel(1.0).coefficient, abs=0.0
     )
     with pytest.raises(DomainError):
         SplitterThresholdModel(1.0)
@@ -74,10 +75,10 @@ def test_splitter_bound_round_trip():
 def test_single_optimum_reaches_cubic_limit(eta):
     opt = maximize_single_rate(1e8, eta)
     c = eta / (4.0 * (2.0 - eta))
-    assert opt.p_success**3 / opt.p_error == pytest.approx(c, rel=2e-3)
+    assert opt.p_success**3 / opt.p_error == pytest.approx(c, rel=2e-3, abs=0.0)
     # optimum sits on the two-photon cancellation locus
     assert opt.params["squeezing"] == pytest.approx(
-        (opt.params["displacement_amplitude"] / 2.0) ** 2, rel=0.1
+        (opt.params["displacement_amplitude"] / 2.0) ** 2, rel=0.1, abs=0.0
     )
 
 
@@ -85,9 +86,9 @@ def test_pair_optimum_reaches_sqrt_limit():
     eta, n = 0.5, 2
     opt = maximize_pair_rate(1e5, eta, n_modes=n)
     coeff = eta * n / (2.0 * np.sqrt(n * (n + 1.0)))
-    assert opt.p_success / np.sqrt(opt.p_error) == pytest.approx(coeff, rel=1e-4)
+    assert opt.p_success / np.sqrt(opt.p_error) == pytest.approx(coeff, rel=1e-4, abs=0.0)
     mus = opt.params["pair_brightness"]
-    assert max(mus) / min(mus) == pytest.approx(1.0, rel=1e-3)
+    assert max(mus) / min(mus) == pytest.approx(1.0, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha,n_modes", [(3.0, 2), (3.0, 4), (1e2, 4), (1e5, 2)])
@@ -124,33 +125,70 @@ BEFORE_FLOAT64 = {
     (1e12, 0.5): (1.666669901313014e-07, 5.55557172403619e-20),
     (1e4, 0.1467): (0.0008475222161336281, 2.884094485582855e-08),
 }
+# the same for the float64 search that also ran over the angle
+BEFORE_TWO_VARIABLES = {
+    (1.0, 0.5): (0.4971547093069237, 0.2232374633383319),
+    (1e12, 0.5): (1.6666699042665376e-07, 5.555571753571429e-20),
+    (1e4, 0.1467): (0.0008475222159267423, 2.8840944835139965e-08),
+}
 
 
 @pytest.mark.parametrize("alpha,eta,expected", [
-    (1.0, 0.5, (0.4971547093069237, 0.2232374633383319, 0.273917245968592,
-                {"displacement_amplitude": 3.024804804404515,
-                 "squeezing": 0.5349759584283944,
-                 "relative_angle": 5.761962246674593e-10})),
-    (1e12, 0.5, (1.6666699042665376e-07, 5.555571753571429e-20, 1.1111127289093951e-07,
-                 {"displacement_amplitude": 0.0016329942036181926,
-                  "squeezing": 6.666664061397168e-07,
-                  "relative_angle": 1.4040950542994924e-12})),
-    (1e4, 0.1467, (0.0008475222159267423, 2.8840944835139965e-08, 0.0005591127675753429,
-                   {"displacement_amplitude": 0.2138581426235672,
-                    "squeezing": 0.010994092191460853,
-                    "relative_angle": 9.244607744732557e-10})),
+    (1.0, 0.5, (0.4971547025256406, 0.22323745655704874, 0.27391724596859207,
+                {"displacement_amplitude": 3.024804771335406,
+                 "squeezing": 0.534975958874538,
+                 "relative_angle": 0.0})),
+    (1e12, 0.5, (1.6666699132152962e-07, 5.555571843059013e-20, 1.111112728909395e-07,
+                 {"displacement_amplitude": 0.0016329942080021624,
+                  "squeezing": 6.666664097280877e-07,
+                  "relative_angle": 0.0})),
+    (1e4, 0.1467, (0.0008475222205185531, 2.8840945294321055e-08, 0.0005591127675753428,
+                   {"displacement_amplitude": 0.21385814319291027,
+                    "squeezing": 0.010994092269923221,
+                    "relative_angle": 0.0})),
 ])
 def test_single_search_path_is_pinned(alpha, eta, expected):
     # F is flat at the optimum, so any change in the objective's float
-    # values (2**-50 relative in p_error is enough) sends the cold
-    # Nelder-Mead search to another boundary point; these are the exact
-    # results of the float64 objective, re-evaluated at 50 digits
+    # values (2**-50 relative in p_error is enough) or in the search
+    # variables sends the cold Nelder-Mead search to another boundary
+    # point; these are the exact results of the float64 objective over
+    # (log d, log r), re-evaluated at 50 digits
     opt = maximize_single_rate(alpha, eta)
     assert (opt.p_success, opt.p_error, opt.objective, opt.params) == expected
-    # the 50-digit objective's search ended on the same boundary
-    p_success, p_error = BEFORE_FLOAT64[alpha, eta]
-    assert opt.p_success == pytest.approx(p_success, rel=1e-7, abs=0.0)
-    assert opt.p_error == pytest.approx(p_error, rel=1e-7, abs=0.0)
+    # the earlier searches ended on the same boundary
+    for before in (BEFORE_FLOAT64, BEFORE_TWO_VARIABLES):
+        p_success, p_error = before[alpha, eta]
+        assert opt.p_success == pytest.approx(p_success, rel=1e-7, abs=0.0)
+        assert opt.p_error == pytest.approx(p_error, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("eta,t_bs", [(0.5, 0.5), (0.5, 0.3), (0.1467, 0.5), (0.1467, 0.3)])
+def test_no_angle_beats_the_squeezed_axis(eta, t_bs):
+    # multistart simplex over (log d, log r, theta), seeded off the
+    # squeezed axis too: turning the displacement away from it must not
+    # beat the search at theta = 0
+    k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
+    for alpha in (1.0, 1e2, 1e8):
+        on_axis = maximize_single_rate(alpha, eta, t_bs)
+
+        def objective(x):
+            if x[0] > 3.0 or x[1] > 3.0:
+                return 1e10
+            state = GaussianStateParams(float(np.exp(max(x[0], -690.0))),
+                                        float(np.exp(max(x[1], -690.0))), float(x[2]))
+            p1, p_error = single_click_rates(state, k1, k2)
+            return -(p1 - alpha * p_error)
+
+        seeds = [(*seed, theta)
+                 for seed in threshold_solver._single_seeds(alpha, eta, t_bs, None)
+                 for theta in (0.0, 0.8, np.pi / 2)]
+        best = max(
+            -minimize(objective, seed, method="Nelder-Mead",
+                      options=dict(xatol=1e-10, fatol=abs(objective(seed)) * 1e-13,
+                                   maxiter=6000, maxfev=12000)).fun
+            for seed in seeds
+        )
+        assert best <= on_axis.objective * (1.0 + 1e-12)
 
 
 def test_single_curve_sweep():
@@ -164,7 +202,7 @@ def test_single_curve_sweep():
         assert fast == pytest.approx((p_s, p_e), rel=1e-12, abs=0.0)
     pe = 1e-9
     assert curve.value(pe) == pytest.approx(
-        SinglePhotonThresholdModel(0.5).value(pe), rel=0.02
+        SinglePhotonThresholdModel(0.5).value(pe), rel=0.02, abs=0.0
     )
     assert curve.slope(pe) > 0
     with pytest.raises(DomainError):
@@ -175,7 +213,7 @@ def test_pair_curve_sweep():
     curve = pair_threshold_curve(0.5, n_modes=1, alpha_min=1e2, alpha_max=1e8, n_points=7)
     pe = 1e-8
     coeff = 0.5 * 1 / (2.0 * np.sqrt(2.0))
-    assert curve.value(pe) == pytest.approx(coeff * np.sqrt(pe), rel=0.02)
+    assert curve.value(pe) == pytest.approx(coeff * np.sqrt(pe), rel=0.02, abs=0.0)
     assert curve.n_modes == 1
     assert curve.meta["objective"] == "p_success - alpha * p_error"
     assert "one shared log-brightness" in curve.meta["optimizer"]
@@ -201,7 +239,7 @@ def test_finite_difference_eta_sensitivity():
     lo, hi = curve_from_model(0.49), curve_from_model(0.51)
     sens = (hi.value(1e-7) - lo.value(1e-7)) / (hi.eta - lo.eta)
     expected = PairThresholdModel(0.5).eta_sensitivity(1e-7)
-    assert sens == pytest.approx(float(expected), rel=1e-3)
+    assert sens == pytest.approx(float(expected), rel=1e-3, abs=0.0)
 
 
 def test_solver_error_paths(monkeypatch):

@@ -22,18 +22,6 @@ def test_state_params_validation():
         GaussianStateParams(1.0, 0.0, float("inf"))
 
 
-def test_state_params_canonical_angle():
-    p = GaussianStateParams(1.0, 0.5, np.pi + 0.3).canonical()
-    assert p.relative_angle == pytest.approx(0.3, abs=1e-12)
-    # theta, -theta and pi - theta are one state: fold into [0, pi/2]
-    p = GaussianStateParams(1.0, 0.5, np.pi - 0.3).canonical()
-    assert p.relative_angle == pytest.approx(0.3, abs=1e-12)
-    assert GaussianStateParams(1.0, 0.5, -1e-12).canonical().relative_angle == 1e-12
-    # angle is meaningless without both displacement and squeezing
-    assert GaussianStateParams(0.0, 0.5, 1.0).canonical().relative_angle == 0.0
-    assert GaussianStateParams(1.0, 0.0, 1.0).canonical().relative_angle == 0.0
-
-
 def test_mean_photon_number():
     assert GaussianStateParams(2.0, 0.0).mean_photon_number == pytest.approx(1.0)
     assert GaussianStateParams(0.0, 1.0).mean_photon_number == pytest.approx(np.sinh(1.0) ** 2)
