@@ -190,6 +190,13 @@ def _require(args, name, choices=None):
     return value
 
 
+def _require_seed(args):
+    seed = _require(args, "seed")
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"--seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
 def _merge_config(parser, sub, argv, args):
     path = getattr(args, "config", None)
     if not path:
@@ -420,9 +427,7 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     _require(args, "source", {"qd", "tmsv", "single"})
-    seed = _require(args, "seed")
-    if not isinstance(seed, int):
-        raise DomainError(f"--seed must be an integer, got {seed!r}")
+    _require_seed(args)
     det = DetectionConfig(eta=args.eta, t_bs=args.tbs, t_bs_b=args.tbs_b)
     if args.tags and args.source != "qd":
         raise DomainError("tag streams are only produced by the qd source")
@@ -604,7 +609,9 @@ def _check_mc_blinking(args):
 
 def cmd_validate(args):
     _require(args, "suite", {"oracle", "mc", "all"})
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_require_seed(args))
+    if args.grid_points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
     rows = []
     if args.suite in ("oracle", "all"):
         rows.append(_check_oracle_grid(args, rng))

@@ -10,10 +10,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from ..errors import PrecisionError
-from .pair_formulas import _with_dark
+from .pair_formulas import _click_weights
 from .types import ClickProbabilities, DetectionConfig
 
-DEFAULT_TAIL_TOL = 1e-10
+TAIL_TOL = 1e-10  # largest mass allowed in the top eight basis slots
 
 
 def _ladder(cutoff):
@@ -38,13 +38,13 @@ def default_cutoff(params):
     return int(min(max(48, np.ceil(base)), 600))
 
 
-def number_distribution(params, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
+def number_distribution(params, cutoff=None):
     """Photon number probabilities of a displaced squeezed vacuum.
 
     The truncated generators stay anti-Hermitian, so the state keeps
     unit norm at any cutoff; truncation error shows up as spurious
     weight near the top of the basis instead.  Raises PrecisionError
-    when the top slots carry more than tail_tol, with a suggested
+    when the top slots carry more than TAIL_TOL, with a suggested
     larger cutoff.
     """
     if cutoff is None:
@@ -62,9 +62,9 @@ def number_distribution(params, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
     psi = (displace @ squeeze)[:, 0]
     probs = np.abs(psi) ** 2
     tail = probs[-8:].sum()
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise PrecisionError(
-            f"tail mass {tail:.3e} near cutoff {cutoff} exceeds {tail_tol:.1e}",
+            f"tail mass {tail:.3e} near cutoff {cutoff} exceeds {TAIL_TOL:.1e}",
             suggested_cutoff=2 * cutoff,
         )
     return probs
@@ -73,32 +73,20 @@ def number_distribution(params, cutoff=None, tail_tol=DEFAULT_TAIL_TOL):
 def click_probs_from_number_distribution(probs, config=DetectionConfig()):
     """Click statistics given exact photon number probabilities.
 
-    Each photon independently survives to a given detector, so the
-    no-click probability through transmission kappa is the probability
-    generating function evaluated at 1 - kappa.
+    Each photon independently survives to a given detector, so each
+    rate is a sum over n of P_n times the chance that n photons, with
+    dark clicks, make that click pattern.  Every term is positive, so
+    small rates keep their relative precision.
     """
     probs = np.asarray(probs, dtype=float)
-    n = np.arange(probs.size)
-
-    def pgf(x):
-        return float(np.sum(probs * np.power(x, n)))
-
-    q1 = pgf(1.0 - config.eta * config.t_bs)
-    q2 = pgf(1.0 - config.eta * (1.0 - config.t_bs))
-    q12 = pgf(1.0 - config.eta)
-    dark = config.dark_count_prob
-    p1 = 1.0 - q1
-    p_success = p1 + dark * q1  # one detector: 1 - (1 - dark) q1
-    p_error = _with_dark(p1 - q2 + q12, p1, 1.0 - q2, 1.0 - q12, dark)
-    # tiny negative values can appear from rounding when p_error ~ 1e-17
-    return ClickProbabilities(
-        p_success=min(max(p_success, 0.0), 1.0),
-        p_error=min(max(p_error, 0.0), 1.0),
-    )
+    eta, t = config.eta, config.t_bs
+    hit1, both = _click_weights(eta * t, eta * (1.0 - t), config.dark_count_prob, probs.size)
+    p_success, p_error = probs @ hit1, probs @ both
+    # the terms are positive, but the norm may round a little above one
+    return ClickProbabilities(min(float(p_success), 1.0), min(float(p_error), 1.0))
 
 
-def fock_oracle_click_probs(params, config=DetectionConfig(), cutoff=None,
-                            tail_tol=DEFAULT_TAIL_TOL):
+def fock_oracle_click_probs(params, config=DetectionConfig(), cutoff=None):
     """Full oracle route: number distribution, then click statistics."""
-    probs = number_distribution(params, cutoff=cutoff, tail_tol=tail_tol)
+    probs = number_distribution(params, cutoff=cutoff)
     return click_probs_from_number_distribution(probs, config)

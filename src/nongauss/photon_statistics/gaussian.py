@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from .pair_formulas import _with_dark
+from .pair_formulas import _photon_weights, _with_dark
 from .types import ClickProbabilities, CovarianceForm, DetectionConfig, GaussianStateParams
 
 
@@ -107,9 +107,10 @@ def single_click_rates(params, k1, k2):
     k1 and k2 are the transmissions to the two detectors.  p1 is the
     chance that detector 1 clicks and p_error that both do.  Dim states
     sum the photon-number probabilities P_n = |psi_n|^2 of D(alpha)S(r)|0>,
-    weighted by the chance that n photons light detector 1 (or both);
-    every weight and every term is positive, so p_error keeps its
-    relative precision where 1 - q1 - q2 + q12 would cancel all of it.
+    weighted by the chance that n photons light detector 1 (or both)
+    from _photon_weights; every weight and every term is positive, so
+    p_error keeps its relative precision where 1 - q1 - q2 + q12 would
+    cancel all of it.
     With t = tanh r and gamma = alpha + t alpha*, the amplitudes follow
 
         psi_{n+1} = (gamma psi_n - t sqrt(n) psi_{n-1}) / sqrt(n + 1),
@@ -129,13 +130,8 @@ def single_click_rates(params, k1, k2):
     gamma = complex(h * (1.0 + t) * math.cos(theta), h * (1.0 - t) * math.sin(theta))
     # |psi_0|^2 = exp(-|alpha|^2 - Re(t alpha*^2)) / cosh r; its phase drops out
     prev, psi = 0.0, math.sqrt(math.exp(-h2 * (1.0 + t * math.cos(2.0 * theta))) / math.cosh(r))
-    # chances that n photons light detector 1 (hit1), neither, just one
-    # detector (only1, only2) or both; adding a photon only adds to each
-    hit1, none, only1, only2, both = 0.0, 1.0, 0.0, 0.0, 0.0
-    a, b, c = 1.0 - k1, 1.0 - k2, 1.0 - k1 - k2
     p1 = p_error = p_prev = 0.0
-    n = 0
-    while True:
+    for n, (_, _, _, both, hit1) in enumerate(_photon_weights(k1, k2)):
         p_n = psi.real * psi.real + psi.imag * psi.imag
         p1 += p_n * hit1
         p_error += p_n * both
@@ -143,13 +139,8 @@ def single_click_rates(params, k1, k2):
         # bound everything after them
         if p_prev + p_n <= TAIL_REL * min(p1, p_error):
             return p1, p_error
-        both += k2 * only1 + k1 * only2
-        only1, only2 = b * only1 + k1 * none, a * only2 + k2 * none
-        hit1 = a * hit1 + k1
-        none *= c
         prev, psi = psi, (gamma * psi - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
         p_prev = p_n
-        n += 1
 
 
 def single_photon_click_probs(params, config=DetectionConfig()):

@@ -15,6 +15,7 @@ to probabilities of order 1e-300.
 
 import math
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 
@@ -41,6 +42,38 @@ def _with_dark(p_coinc, p_any_1, p_any_2, p_any_both, dark):
         + dark * (2.0 * p_any_both - p_any_1 - p_any_2)
         + dark * dark * (1.0 - p_any_both)
     )
+
+
+def _photon_weights(k1, k2):
+    """Detection weights of n = 0, 1, 2, ... photons behind two detectors.
+
+    Each photon reaches detector 1 with probability k1 and detector 2
+    with k2.  Yields (none, only1, only2, both, hit1) per photon number:
+    the chances that n photons leave both detectors dark, light only
+    detector 1, only detector 2, or both, and that detector 1 clicks.
+    Adding a photon only adds to each, so no weight cancels; the
+    closed forms 1 - a**n - b**n + c**n do, and leave ~1e-16 at n = 1,
+    where the double click is exactly 0.
+    """
+    a, b, c = 1.0 - k1, 1.0 - k2, 1.0 - k1 - k2
+    none, only1, only2, both, hit1 = 1.0, 0.0, 0.0, 0.0, 0.0
+    while True:
+        yield none, only1, only2, both, hit1
+        both += k2 * only1 + k1 * only2
+        only1, only2 = b * only1 + k1 * none, a * only2 + k2 * none
+        hit1 = a * hit1 + k1
+        none *= c
+
+
+def _click_weights(k1, k2, dark, size):
+    """Chances that n < size photons click detector 1, and both detectors.
+
+    Dark clicks, with probability `dark` per detector, fill in a click
+    pattern's missing clicks; every term stays positive.
+    """
+    none, only1, only2, both, hit1 = np.array(list(islice(_photon_weights(k1, k2), size))).T
+    return (hit1 + dark * (none + only2),
+            both + dark * (only1 + only2) + dark * dark * none)
 
 
 def multimode_click_rates(mus, eta, ta, tb, dark=0.0):
@@ -98,58 +131,33 @@ def multimode_pair_click_probs(ensemble, config=DetectionConfig()):
     )
 
 
-def tmsv_pair_click_probs_series(mu, config=DetectionConfig(), tail_tol=1e-18):
+SERIES_TAIL_TOL = 1e-18  # geometric weight the series oracle may leave out
+
+
+def tmsv_pair_click_probs_series(mu, config=DetectionConfig()):
     """Oracle route: direct truncated sum over the pair number.
 
-    Shares no algebra with multimode_click_rates.  The truncation point is
-    chosen so the neglected geometric tail is below tail_tol.
+    Shares no algebra with multimode_click_rates: each term is the
+    geometric pair-number weight times the per-photon detection
+    weights of the two arms, dark clicks included term by term.  The
+    truncation point is chosen so the neglected geometric tail is below
+    SERIES_TAIL_TOL.
     """
     _check_mu(mu)
     if mu == 0.0:
         nmax = 2
     else:
-        nmax = int(max(64, np.ceil(np.log(tail_tol) / np.log(mu)))) + 1
-    n = np.arange(nmax)
-    weights = (1.0 - mu) * mu**n
+        nmax = int(max(64, np.ceil(np.log(SERIES_TAIL_TOL) / np.log(mu)))) + 1
+    weights = (1.0 - mu) * mu**np.arange(nmax)
+    eta, dark = config.eta, config.dark_count_prob
 
-    eta, ta, tb = config.eta, config.t_bs, config.t_bs_b
+    def arm(t):
+        return _click_weights(eta * t, eta * (1.0 - t), dark, nmax)
 
-    def click(x):
-        return 1.0 - x**n
-
-    p_s = float(np.sum(weights * click(1.0 - eta * ta) * click(1.0 - eta * tb)))
-
-    def error_arm(t):
-        # chance that n photons light both detectors, built up one photon
-        # at a time from positive terms; 1 - a**n - b**n + c**n leaves
-        # ~1e-16 at n = 1, where it is exactly 0, and at small mu that
-        # residue is a visible part of the error rate
-        k1, k2 = eta * t, eta * (1.0 - t)
-        a, b, c = 1.0 - k1, 1.0 - k2, 1.0 - eta
-        none, only1, only2 = 1.0, 0.0, 0.0
-        both = np.zeros(nmax)
-        for i in range(1, nmax):
-            both[i] = both[i - 1] + k2 * only1 + k1 * only2
-            only1, only2 = b * only1 + k1 * none, a * only2 + k2 * none
-            none *= c
-        return float(np.sum(weights * both))
-
-    p_e = 0.5 * (error_arm(ta) + error_arm(tb))
-    dark = config.dark_count_prob
-    if dark:
-        def q(x):
-            return float(np.sum(weights * x**n))
-        k = 1.0 - dark
-        qs1, qs2 = q(1.0 - eta * ta), q(1.0 - eta * tb)
-        qs3 = q((1.0 - eta * ta) * (1.0 - eta * tb))
-        p_s = 1.0 - k * qs1 - k * qs2 + k * k * qs3
-
-        def error_arm_dark(t):
-            a, b, c = 1.0 - eta * t, 1.0 - eta * (1.0 - t), 1.0 - eta
-            return 1.0 - k * q(a) - k * q(b) + k * k * q(c)
-
-        p_e = 0.5 * (error_arm_dark(ta) + error_arm_dark(tb))
-    return ClickProbabilities(max(p_s, 0.0), max(p_e, 0.0), meta={"nmax": nmax})
+    (hit_a, both_a), (hit_b, both_b) = arm(config.t_bs), arm(config.t_bs_b)
+    p_s = float(np.sum(weights * hit_a * hit_b))
+    p_e = 0.5 * (float(np.sum(weights * both_a)) + float(np.sum(weights * both_b)))
+    return ClickProbabilities(p_s, p_e, meta={"nmax": nmax})
 
 
 def poisson_pair_click_probs(mean_pairs, config=DetectionConfig()):

@@ -55,7 +55,7 @@ def test_threshold_asymptotic_pair(tmp_path):
     np.testing.assert_allclose(cols["p_error"], curve.p_error)
     # square-root law at the low-rate end
     ratio = curve.p_success[0] / np.sqrt(curve.p_error[0])
-    assert ratio == pytest.approx(0.1467 / 2, rel=1e-3)
+    assert ratio == pytest.approx(0.1467 / 2, rel=1e-3, abs=0.0)
 
 
 def test_threshold_solver_sweep_single(tmp_path):
@@ -137,7 +137,7 @@ def test_analyze_reference_pair_point(tmp_path, pair_file, capsys):
     report = read_report_json(f"{out}_report.json")
     assert report["certified"] is True
     assert report["probabilities"]["p_success"]["value"] == pytest.approx(
-        1.797e-5, rel=5e-3)
+        1.797e-5, rel=5e-3, abs=0.0)
     assert 10.0 < report["sigma_distance"]["value"] < 13.5
     assert set(report["sigma_distance"]["components"]) == {
         "from_p_success", "from_p_error", "from_eta"}
@@ -227,7 +227,7 @@ def test_simulate_counts_feed_analyzer(tmp_path):
     assert code == 0
     counts = read_counts_json(out)
     assert counts.kind == "pair"
-    assert counts.trials == pytest.approx(100000)
+    assert counts.trials == pytest.approx(100000, abs=0.0)
 
 
 def test_simulate_qd_tags_roundtrip(tmp_path):
@@ -262,6 +262,17 @@ def test_simulate_rejects_bad_rep_rate(tmp_path, capsys, source, rate):
 def test_simulate_missing_seed(capsys):
     assert main(["simulate", "--source", "tmsv", "--out", "x.json"]) == 1
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--source", "tmsv", "--pulses", "1000"],
+    ["validate", "--suite", "oracle", "--grid-points", "1"],
+], ids=["simulate", "validate"])
+def test_negative_seed_is_named_at_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "x.json"
+    assert main(command + ["--seed", "-1", "--out", str(out)]) == 1
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_merge_and_override(tmp_path):
@@ -342,6 +353,18 @@ def test_validate_surfaces_precision_error(capsys):
                  "--oracle-cutoff", "8"])
     assert code == 1
     assert "precision error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_validate_rejects_an_empty_grid(tmp_path, capsys, points):
+    # an empty grid checks nothing, so it must not read as a pass
+    out = tmp_path / "v.json"
+    assert main(["validate", "--suite", "oracle", "--grid-points", points,
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"--grid-points must be >= 1, got {points}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_cli_help_and_usage():

@@ -66,11 +66,11 @@ def test_count_summary_validation():
 
 def test_probability_estimates_reference_point():
     ps, pe = estimate_click_probabilities(PAIR_COUNTS)
-    assert ps.value == pytest.approx(1.797e-5, rel=5e-3)
-    assert pe.value == pytest.approx(2.93e-8, rel=2e-2)
+    assert ps.value == pytest.approx(1.797e-5, rel=5e-3, abs=0.0)
+    assert pe.value == pytest.approx(2.93e-8, rel=2e-2, abs=0.0)
     # quoted uncertainties: 0.020e-5 and 0.11e-8
-    assert ps.sigma == pytest.approx(2.0e-7, rel=0.1)
-    assert pe.sigma == pytest.approx(1.1e-9, rel=0.1)
+    assert ps.sigma == pytest.approx(2.0e-7, rel=0.1, abs=0.0)
+    assert pe.sigma == pytest.approx(1.1e-9, rel=0.1, abs=0.0)
 
 
 def test_zero_counts_estimate():
@@ -91,8 +91,8 @@ def test_more_data_same_rates_shrinks_sigma():
     )
     ps1, pe1 = estimate_click_probabilities(PAIR_COUNTS)
     ps2, pe2 = estimate_click_probabilities(doubled)
-    assert ps2.value == pytest.approx(ps1.value, rel=1e-12)
-    assert pe2.value == pytest.approx(pe1.value, rel=1e-12)
+    assert ps2.value == pytest.approx(ps1.value, rel=1e-12, abs=0.0)
+    assert pe2.value == pytest.approx(pe1.value, rel=1e-12, abs=0.0)
     assert ps2.sigma < ps1.sigma
     assert pe2.sigma < pe1.sigma
 
@@ -112,7 +112,7 @@ def test_sigma_distance_reference_point():
     assert dist.threshold_value < ps.value
     assert set(dist.components) == {"from_p_success", "from_p_error", "from_eta"}
     total = math.sqrt(sum(v**2 for v in dist.components.values()))
-    assert dist.sigma_total == pytest.approx(total, rel=1e-12)
+    assert dist.sigma_total == pytest.approx(total, rel=1e-12, abs=0.0)
 
 
 def test_sigma_distance_guards():
@@ -140,14 +140,14 @@ def test_undersample_deterministic_laws():
     same = undersample(PAIR_COUNTS, 0.0)
     assert same.success_count == PAIR_COUNTS.success_count
     half = undersample(PAIR_COUNTS, 0.5)
-    assert half.success_count == pytest.approx(244113 * 0.25, rel=1e-12)
-    assert half.error_count_a == pytest.approx(365 * 0.25, rel=1e-12)
+    assert half.success_count == pytest.approx(244113 * 0.25, rel=1e-12, abs=0.0)
+    assert half.error_count_a == pytest.approx(365 * 0.25, rel=1e-12, abs=0.0)
     single_half = undersample(SINGLE_COUNTS, 0.5)
     assert single_half.success_count == pytest.approx(
-        SINGLE_COUNTS.success_count * 0.5, rel=1e-12
+        SINGLE_COUNTS.success_count * 0.5, rel=1e-12, abs=0.0
     )
     assert single_half.error_count_a == pytest.approx(
-        SINGLE_COUNTS.error_count_a * 0.25, rel=1e-12
+        SINGLE_COUNTS.error_count_a * 0.25, rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         undersample(PAIR_COUNTS, 1.0)
@@ -157,15 +157,15 @@ def test_undersample_commutes_with_estimation():
     a = 0.37
     ps0, pe0 = estimate_click_probabilities(PAIR_COUNTS)
     ps1, pe1 = estimate_click_probabilities(undersample(PAIR_COUNTS, a))
-    assert ps1.value == pytest.approx(ps0.value * (1 - a) ** 2, rel=1e-12)
-    assert pe1.value == pytest.approx(pe0.value * (1 - a) ** 2, rel=1e-12)
+    assert ps1.value == pytest.approx(ps0.value * (1 - a) ** 2, rel=1e-12, abs=0.0)
+    assert pe1.value == pytest.approx(pe0.value * (1 - a) ** 2, rel=1e-12, abs=0.0)
 
 
 def test_attenuation_scan_shape_and_line():
     scan = attenuation_scan(PAIR_COUNTS, a_max=0.8, step=0.02)
     assert scan.attenuations.size == 41
     assert scan.attenuations[0] == 0.0
-    assert scan.attenuations[-1] == pytest.approx(0.8)
+    assert scan.attenuations[-1] == pytest.approx(0.8, abs=0.0)
     assert np.all(scan.p_success > 0) and np.all(scan.p_error > 0)
     # pairs: both probabilities scale with (1-a)^2, so the log-log
     # trajectory is a straight line of slope one
@@ -180,8 +180,8 @@ def test_blinking_fit_roundtrip():
     amp, tau, plateau = 1000.0, 9.5, 1300.0
     areas = amp * np.exp(-n / tau) + plateau
     fit = blinking_fit(n, areas)
-    assert fit.blinking_factor == pytest.approx(plateau / (amp + plateau), rel=1e-6)
-    assert fit.correlation_pulses == pytest.approx(tau, rel=1e-6)
+    assert fit.blinking_factor == pytest.approx(plateau / (amp + plateau), rel=1e-6, abs=0.0)
+    assert fit.correlation_pulses == pytest.approx(tau, rel=1e-6, abs=0.0)
 
 
 def test_blinking_fit_flat_and_guards():
@@ -203,7 +203,7 @@ def test_blinking_fit_ignores_zero_delay():
     areas = amp * np.exp(-np.abs(n) / tau) + plateau
     areas[0] = 5.0  # suppressed central peak must not bias the fit
     fit = blinking_fit(n, areas)
-    assert fit.blinking_factor == pytest.approx(plateau / (amp + plateau), rel=1e-6)
+    assert fit.blinking_factor == pytest.approx(plateau / (amp + plateau), rel=1e-6, abs=0.0)
 
 
 def test_depth_fit_pair_reference():
@@ -221,7 +221,7 @@ def test_depth_fit_pair_reference():
     d = sigma_distance(*estimate_click_probabilities(PAIR_COUNTS),
                        PairThresholdModel(0.1467), sigma_eta=0.0034)
     assert res.fit_meta["gap_at_unity"] == pytest.approx(
-        (d.value - res.fit_meta["sigma_level"]) * d.sigma_total, rel=1e-12
+        (d.value - res.fit_meta["sigma_level"]) * d.sigma_total, rel=1e-12, abs=0.0
     )
 
 
@@ -253,7 +253,7 @@ def test_depth_fit_guards():
     model = PairThresholdModel(0.1467)
     short = depth_fit(attenuation_scan(PAIR_COUNTS, a_max=0.06, step=0.02), model)
     full = depth_fit(attenuation_scan(PAIR_COUNTS), model)
-    assert short.depth_db == pytest.approx(full.depth_db, rel=1e-12)
+    assert short.depth_db == pytest.approx(full.depth_db, rel=1e-12, abs=0.0)
     zero = CountSummary("pair", 1.0, 1e6, 10.0, 0.0, 0.0)
     with pytest.raises(FitError):
         depth_fit(attenuation_scan(zero), model)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from nongauss.photon_statistics import (
     GaussianStateParams,
     click_probs_from_number_distribution,
     fock_oracle_click_probs,
+    no_click_after_loss,
     number_distribution,
     single_photon_click_probs,
 )
@@ -47,8 +49,21 @@ def test_oracle_agrees_with_moment_route():
         cfg = DetectionConfig(eta=rng.uniform(0.1, 1.0), t_bs=rng.uniform(0.3, 0.7))
         a = single_photon_click_probs(params, cfg)
         b = fock_oracle_click_probs(params, cfg)
-        assert b.p_success == pytest.approx(a.p_success, rel=1e-10, abs=1e-14)
-        assert b.p_error == pytest.approx(a.p_error, rel=1e-8, abs=1e-14)
+        assert b.p_success == pytest.approx(a.p_success, rel=1e-10, abs=0.0)
+        assert b.p_error == pytest.approx(a.p_error, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("dark", [0.0, 1e-6, 1e-4])
+def test_oracle_at_a_boundary_state_matches_50_digits(dark):
+    # the alpha = 1e12, eta = 0.5 optimum: p_error 5.6e-20 without dark
+    # clicks, which 1 - q1 - q2 + q12 in doubles cannot resolve
+    state = GaussianStateParams(0.0016329942, 6.666664e-7)
+    got = fock_oracle_click_probs(state, DetectionConfig(eta=0.5, dark_count_prob=dark))
+    with mpmath.workdps(50):
+        k1, k = mpmath.mpf(0.25), 1 - mpmath.mpf(dark)
+        q1, q2, q12 = no_click_after_loss(state, (k1, k1, k1 + k1), mathmod=mpmath)
+        expected = float(1 - k * q1), float(1 - k * q1 - k * q2 + k * k * q12)
+    assert (got.p_success, got.p_error) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_norm_deficit_raises():
