@@ -190,11 +190,12 @@ def _require(args, name, choices=None):
     return value
 
 
-def _require_seed(args):
-    seed = _require(args, "seed")
-    if not isinstance(seed, int) or seed < 0:
-        raise DomainError(f"--seed must be an integer >= 0, got {seed!r}")
-    return seed
+def _require_count(args, name, least):
+    value = _require(args, name)
+    if not isinstance(value, int) or value < least:
+        raise DomainError(f"--{name.replace('_', '-')} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return value
 
 
 def _merge_config(parser, sub, argv, args):
@@ -427,7 +428,8 @@ def cmd_analyze(args):
 
 def cmd_simulate(args):
     _require(args, "source", {"qd", "tmsv", "single"})
-    _require_seed(args)
+    _require_count(args, "seed", 0)
+    _require_count(args, "pulses", 1)
     det = DetectionConfig(eta=args.eta, t_bs=args.tbs, t_bs_b=args.tbs_b)
     if args.tags and args.source != "qd":
         raise DomainError("tag streams are only produced by the qd source")
@@ -609,9 +611,13 @@ def _check_mc_blinking(args):
 
 def cmd_validate(args):
     _require(args, "suite", {"oracle", "mc", "all"})
-    rng = np.random.default_rng(_require_seed(args))
+    rng = np.random.default_rng(_require_count(args, "seed", 0))
+    _require_count(args, "pulses", 1)
     if args.grid_points < 1:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+    if not (np.isfinite(args.tol_oracle) and args.tol_oracle > 0):
+        raise DomainError(f"--tol-oracle must be a finite number > 0, "
+                          f"got {args.tol_oracle!r}")
     rows = []
     if args.suite in ("oracle", "all"):
         rows.append(_check_oracle_grid(args, rng))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
 
 from .errors import DomainError, FitError
 
@@ -295,6 +294,8 @@ def blinking_fit(delays, areas):
     def envelope(n, amp, tau, plateau):
         return amp * np.exp(-n / tau) + plateau
 
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(
             envelope, delays, areas, p0=p0,
@@ -387,6 +388,8 @@ def depth_fit(scan, model, sigma_eta=0.0, sigma_level=1.0):
         raise FitError(
             f"trajectory still clears the threshold at tau={TAU_FLOOR:.1e}"
         )
+    from scipy.optimize import brentq
+
     tau_cross = brentq(gap, TAU_FLOOR, 1.0, xtol=1e-14, rtol=1e-13)
     fit_meta["tau_cross"] = float(tau_cross)
     depth_db = -10.0 * math.log10(tau_cross) / n_success_photons

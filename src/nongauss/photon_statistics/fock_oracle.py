@@ -7,7 +7,6 @@ it, which makes it a useful cross-check.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..errors import PrecisionError
 from .pair_formulas import _click_weights
@@ -54,6 +53,8 @@ def number_distribution(params, cutoff=None):
             f"cutoff {cutoff} is too small to bound the truncation tail",
             suggested_cutoff=max(32, 2 * cutoff),
         )
+    from scipy.linalg import expm
+
     d, r, theta = params.displacement_amplitude, params.squeezing, params.relative_angle
     alpha = 0.5 * d * np.exp(1j * theta)
     a, ad = _ladder(cutoff)

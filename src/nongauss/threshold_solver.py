@@ -21,9 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, SolverError
 from .photon_statistics.gaussian import no_click_after_loss, single_click_rates
@@ -62,6 +60,19 @@ def _check_point(alpha, eta, t_bs):
 def _check_count(name, value, least):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Importing scipy.optimize would be the largest part of importing the
+    CLI, so it is put off until the first solve; runs that solve no
+    point never pay for it.  _solve_point calls this through the module
+    attribute, where the traced benchmark wraps it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _solve_point(kind, alpha, objective, seeds, warm, finish):
@@ -160,6 +171,8 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
 
     def finish(x):
+        import mpmath
+
         params = _single_state(x)
         with mpmath.workdps(MP_DPS):
             # kappas as mpf, so that no product is rounded to a double

@@ -37,3 +37,20 @@ def test_measured_call_sites_exist():
     # the pair kernel and the simplex feed the solver metrics
     assert "photon_statistics.multimode_click_rates" in checked
     assert "threshold_solver.minimize" in checked
+
+
+def test_traced_call_sites_are_reached():
+    # a wrapped name that the solver no longer looks up (a local import,
+    # a direct scipy call) exists but is never called; its metrics vanish
+    from nongauss import threshold_solver
+
+    tracer = traced.Tracer()
+    tracer.install()
+    try:
+        threshold_solver.maximize_pair_rate(100.0, 0.5, n_modes=4)
+        threshold_solver.maximize_single_rate(1e4, 0.5)
+    finally:
+        tracer.uninstall()
+    ran = {span[0] for span in tracer.spans}
+    for span in (traced.MINIMIZE, *traced.KERNELS):
+        assert span in ran, f"{span} was wrapped but never called"

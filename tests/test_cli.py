@@ -275,6 +275,18 @@ def test_negative_seed_is_named_at_the_flag(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,pulses", [
+    (["simulate", "--source", "tmsv", "--seed", "1"], "0"),
+    (["simulate", "--source", "qd", "--seed", "1"], "-5"),
+    (["validate", "--suite", "mc"], "0"),
+], ids=["simulate-zero", "simulate-negative", "validate-zero"])
+def test_pulses_is_named_at_the_flag(tmp_path, capsys, command, pulses):
+    out = tmp_path / "x.json"
+    assert main(command + ["--pulses", pulses, "--out", str(out)]) == 1
+    assert f"--pulses must be an integer >= 1, got {pulses}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_merge_and_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -363,6 +375,18 @@ def test_validate_rejects_an_empty_grid(tmp_path, capsys, points):
                  "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert f"--grid-points must be >= 1, got {points}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_validate_rejects_a_bad_oracle_tolerance(tmp_path, capsys, tol):
+    # a tolerance that cannot decide the check must not read as its verdict
+    out = tmp_path / "v.json"
+    assert main(["validate", "--suite", "oracle", "--grid-points", "1",
+                 f"--tol-oracle={tol}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "--tol-oracle must be a finite number > 0" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
