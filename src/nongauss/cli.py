@@ -45,6 +45,7 @@ from .photon_statistics import (
     single_photon_click_probs,
     tmsv_pair_click_probs_series,
 )
+from .photon_statistics.fock_oracle import MIN_CUTOFF
 from .source_simulator import (
     QdSourceConfig,
     peak_areas_from_tags,
@@ -169,7 +170,8 @@ def build_parser():
                      help="random points of the oracle-equivalence grid")
     sub.add_argument("--tol-oracle", type=float, default=1e-8)
     sub.add_argument("--oracle-cutoff", type=int, default=None,
-                     help="force a fixed Fock cutoff (default: automatic)")
+                     help=f"force a fixed Fock cutoff >= {MIN_CUTOFF} "
+                          "(default: automatic)")
     sub.add_argument("--out", default=None, help="optional JSON report path")
     sub.set_defaults(func=cmd_validate)
     submap["validate"] = sub
@@ -618,6 +620,8 @@ def cmd_validate(args):
     if not (np.isfinite(args.tol_oracle) and args.tol_oracle > 0):
         raise DomainError(f"--tol-oracle must be a finite number > 0, "
                           f"got {args.tol_oracle!r}")
+    if args.oracle_cutoff is not None:
+        _require_count(args, "oracle_cutoff", MIN_CUTOFF)
     rows = []
     if args.suite in ("oracle", "all"):
         rows.append(_check_oracle_grid(args, rng))

@@ -11,6 +11,7 @@ every writer round-trips through its reader without loss.
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -292,19 +293,83 @@ def read_report_json(path, schema="nongauss-analysis-report"):
 
 # ------------------------------------------------------------------ tags
 
+TAG_ID_MAX = 8  # characters in a detector id
+# pulse index, detector id and time per line; the id field is one
+# character wider than an id may be, so a longer id shows
+TAG_DTYPE = [("p", "i8"), ("d", f"U{TAG_ID_MAX + 1}"), ("t", "f8")]
+TAG_CHUNK = 1 << 16  # lines joined per write, so memory stays flat
+
+
+def _tag_id_problem(text):
+    if text.split() != [text]:
+        return "is empty or contains whitespace"
+    if len(text) > TAG_ID_MAX:
+        return f"is longer than {TAG_ID_MAX} characters"
+    if text.startswith("#"):
+        return "starts with '#'"
+    return None
+
+
 def write_tag_stream(path, tags):
     """One line per click: pulse_index detector_id time_ps."""
-    pulse = np.asarray(tags["pulse_index"])
+    pulse = np.asarray(tags["pulse_index"], dtype=np.int64)
     det = np.asarray(tags["detector"])
     time_ps = np.asarray(tags["time_ps"], dtype=float)
+    if not (pulse.shape == det.shape == time_ps.shape):
+        raise FormatError("pulse_index, detector and time_ps must have matching "
+                          f"shapes, got {pulse.shape}, {det.shape} and {time_ps.shape}")
+    for text in map(str, np.unique(det).tolist()):
+        problem = _tag_id_problem(text)
+        if problem:
+            raise FormatError(f"detector id {text!r} {problem}")
     with open(path, "w") as fh:
         fh.write(f"# nongauss-tags v{SCHEMA_VERSION}\n")
         fh.write("# pulse_index detector_id time_ps\n")
-        for p, d, t in zip(pulse, det, time_ps):
-            fh.write(f"{int(p)} {d} {float(t)!r}\n")
+        for i in range(0, len(pulse), TAG_CHUNK):
+            rows = slice(i, i + TAG_CHUNK)
+            fh.write("".join([
+                f"{p} {d} {t!r}\n" for p, d, t in
+                zip(pulse[rows].tolist(), det[rows].tolist(), time_ps[rows].tolist())
+            ]))
 
 
 def read_tag_stream(path):
+    """Tag arrays from a tag stream, parsed in C by np.loadtxt.
+
+    A file the C parser rejects or might read differently (a parse
+    error, a non-finite time, an id over TAG_ID_MAX characters, no data
+    lines) goes to the line parser, which accepts the same files and
+    raises the FormatError that names the line.
+    """
+    try:
+        with open(path) as fh:
+            skip = next((i for i, line in enumerate(fh)
+                         if line.strip() and not line.startswith("#")), None)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
+    if skip is None:  # no data lines
+        return _parse_tag_lines(path)
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" into an integer field with a
+            # DeprecationWarning; the line parser refuses it
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(path, dtype=TAG_DTYPE, comments=None,
+                              skiprows=skip, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return _parse_tag_lines(path)
+    if ((np.char.str_len(rows["d"]) > TAG_ID_MAX).any()
+            or not np.isfinite(rows["t"]).all()):
+        return _parse_tag_lines(path)
+    return {
+        "pulse_index": rows["p"].copy(),
+        "detector": rows["d"].astype(f"U{TAG_ID_MAX}"),
+        "time_ps": rows["t"].copy(),
+    }
+
+
+def _parse_tag_lines(path):
+    """The tag-stream grammar, one Python line at a time."""
     pulses, dets, times = [], [], []
     try:
         fh = open(path)
@@ -324,10 +389,13 @@ def read_tag_stream(path):
                 raise FormatError(f"{path}: line {i}: {exc}") from exc
             if not math.isfinite(t):
                 raise FormatError(f"{path}: line {i}: time must be finite")
+            if len(parts[1]) > TAG_ID_MAX:
+                raise FormatError(f"{path}: line {i}: detector id {parts[1]!r} "
+                                  f"is longer than {TAG_ID_MAX} characters")
             times.append(t)
             dets.append(parts[1])
     return {
         "pulse_index": np.array(pulses, dtype=np.int64),
-        "detector": np.array(dets, dtype="U8"),
+        "detector": np.array(dets, dtype=f"U{TAG_ID_MAX}"),
         "time_ps": np.array(times),
     }

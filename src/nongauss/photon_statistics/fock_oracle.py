@@ -13,6 +13,7 @@ from .pair_formulas import _click_weights
 from .types import ClickProbabilities, DetectionConfig
 
 TAIL_TOL = 1e-10  # largest mass allowed in the top eight basis slots
+MIN_CUTOFF = 16  # smallest basis whose tail check means anything
 
 
 def _ladder(cutoff):
@@ -48,7 +49,7 @@ def number_distribution(params, cutoff=None):
     """
     if cutoff is None:
         cutoff = default_cutoff(params)
-    if cutoff < 16:
+    if cutoff < MIN_CUTOFF:
         raise PrecisionError(
             f"cutoff {cutoff} is too small to bound the truncation tail",
             suggested_cutoff=max(32, 2 * cutoff),

@@ -13,6 +13,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
                          "perfbench")
 sys.path.insert(0, PERFBENCH)
 
+import steps  # noqa: E402
 import traced  # noqa: E402
 import workloads  # noqa: E402
 
@@ -54,3 +55,25 @@ def test_traced_call_sites_are_reached():
     ran = {span[0] for span in tracer.spans}
     for span in (traced.MINIMIZE, *traced.KERNELS):
         assert span in ran, f"{span} was wrapped but never called"
+
+
+def test_traced_tag_io_is_reached(tmp_path):
+    # the CLI writes the tags and the peak-areas step reads them through
+    # the io_formats attributes that the traced run wraps
+    from nongauss import cli
+
+    tags = tmp_path / "qd_tags.txt"
+    tracer = traced.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["simulate", "--source", "qd", "--pulses", "20000",
+                         "--seed", "7", "--out", str(tmp_path / "qd.json"),
+                         "--tags", str(tags)])
+        steps.peak_areas(str(tags), str(tmp_path / "qd_peaks.csv"))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    ran = {span[0] for span in tracer.spans}
+    for name in ("io_formats.write_tag_stream", "io_formats.read_tag_stream"):
+        assert name in ran, f"{name} was wrapped but never called"
+        assert tracer.counts[f"{name}.bytes"] == tags.stat().st_size

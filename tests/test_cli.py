@@ -361,10 +361,24 @@ def test_validate_tightened_tolerance_fails(capsys):
 
 
 def test_validate_surfaces_precision_error(capsys):
+    # cutoff 16 is accepted, but the grid's states leave tail mass above
+    # the oracle's bound there
     code = main(["validate", "--suite", "oracle", "--grid-points", "4",
-                 "--oracle-cutoff", "8"])
+                 "--oracle-cutoff", "16"])
     assert code == 1
-    assert "precision error" in capsys.readouterr().out
+    assert "precision error: tail mass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cutoff", ["-1", "0", "8"])
+def test_validate_rejects_a_cutoff_below_the_oracle_floor(tmp_path, capsys, cutoff):
+    # the oracle refuses any such cutoff, so the row could only read fail
+    out = tmp_path / "v.json"
+    assert main(["validate", "--suite", "oracle", "--grid-points", "1",
+                 f"--oracle-cutoff={cutoff}", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert f"--oracle-cutoff must be an integer >= 16, got {cutoff}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

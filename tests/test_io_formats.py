@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from nongauss import io_formats
 from nongauss.counts_analyzer import CountSummary, attenuation_scan
 from nongauss.errors import FormatError
 from nongauss.io_formats import (
@@ -186,6 +189,108 @@ def test_tag_stream_rejects_non_finite_time(tmp_path, bad):
     path.write_text(f"# nongauss-tags v1\n0 a1 12.5\n3 b1 {bad}\n")
     with pytest.raises(FormatError, match="line 3: time must be finite"):
         read_tag_stream(path)
+
+
+TAG_HEADER = "# nongauss-tags v1\n# pulse_index detector_id time_ps\n"
+
+
+def _tag_rows(tags):
+    return list(zip(tags["pulse_index"].tolist(), tags["detector"].tolist(),
+                    tags["time_ps"].tolist()))
+
+
+# bodies on which np.loadtxt and the Python line parser could disagree;
+# the result is the rows both routes return, or the error both raise
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, result", [
+    pytest.param("0 a1 1.5 # note\n", "line 3: expected 3 fields", id="inline-comment"),
+    pytest.param("0 a1 1.5\n  # a note\n", "line 4: invalid literal for int()",
+                 id="indented-comment"),
+    pytest.param("0 a1 1.5\n# note\n3 b1 2.5\n", [(0, "a1", 1.5), (3, "b1", 2.5)],
+                 id="comment-mid-body"),
+    pytest.param("1_0 a1 2_5\n", [(10, "a1", 25.0)], id="underscores"),
+    pytest.param("+1 a1 +1.5\n", [(1, "a1", 1.5)], id="plus-signs"),
+    pytest.param("", [], id="header-only"),
+    pytest.param("\n  \n", [], id="blank-body"),
+    pytest.param("0 a1 1.5\r\n\r\n3 b1 2\r\n", [(0, "a1", 1.5), (3, "b1", 2.0)],
+                 id="crlf-and-blank-lines"),
+    pytest.param("0 a1 1.5\n3 detector1 2.5\n",
+                 "line 4: detector id 'detector1' is longer than 8 characters",
+                 id="nine-character-id"),
+    pytest.param("1.0 a1 1.5\n", "line 3: invalid literal for int()", id="float-pulse"),
+    pytest.param("0 a\xa0b 1.5\n", "line 3: expected 3 fields", id="unicode-space"),
+])
+def test_tag_reader_matches_the_line_parser(tmp_path, body, result):
+    path = tmp_path / "tags.txt"
+    path.write_text(TAG_HEADER + body)
+    outcomes = []
+    for read in (read_tag_stream, io_formats._parse_tag_lines):
+        try:
+            tags = read(path)
+        except FormatError as exc:
+            outcomes.append(str(exc))
+        else:
+            assert tags["pulse_index"].dtype == np.int64
+            assert tags["detector"].dtype == np.dtype("U8")
+            assert tags["time_ps"].dtype == np.float64
+            outcomes.append(_tag_rows(tags))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(result, str):
+        assert outcomes[0].startswith(f"{path}: {result}")
+    else:
+        assert outcomes[0] == result
+
+
+def test_tag_reader_missing_path(tmp_path):
+    path = tmp_path / "absent.txt"
+    for read in (read_tag_stream, io_formats._parse_tag_lines):
+        with pytest.raises(FormatError,
+                           match=f"^{re.escape(str(path))}: No such file or directory$"):
+            read(path)
+
+
+def test_tag_writer_bytes_across_chunks(tmp_path):
+    # longer than one joined write, against one f-string per line
+    n = io_formats.TAG_CHUNK + 1234
+    rng = np.random.default_rng(5)
+    tags = {
+        "pulse_index": np.sort(rng.integers(0, 10**9, n)),
+        "detector": rng.choice(np.array(["a1", "a2", "b1", "b2"]), n),
+        "time_ps": rng.exponential(800.0, n),
+    }
+    path = tmp_path / "tags.txt"
+    write_tag_stream(path, tags)
+    lines = [f"{int(p)} {d} {float(t)!r}\n" for p, d, t in
+             zip(tags["pulse_index"], tags["detector"], tags["time_ps"])]
+    assert path.read_text() == TAG_HEADER + "".join(lines)
+    back = read_tag_stream(path)
+    for key in tags:
+        np.testing.assert_array_equal(back[key], tags[key])
+
+
+def test_tag_writer_refuses_unequal_columns(tmp_path):
+    path = tmp_path / "tags.txt"
+    tags = {"pulse_index": np.array([0, 1, 2]), "detector": np.array(["a1"] * 3),
+            "time_ps": np.array([1.0, 2.0])}
+    with pytest.raises(FormatError, match="matching shapes"):
+        write_tag_stream(path, tags)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("det, problem", [
+    ("", "is empty or contains whitespace"),
+    ("a b", "is empty or contains whitespace"),
+    ("a\tb", "is empty or contains whitespace"),
+    ("detector_b1", "is longer than 8 characters"),
+    ("#a1", "starts with '#'"),
+])
+def test_tag_writer_refuses_an_id_the_reader_cannot_return(tmp_path, det, problem):
+    path = tmp_path / "tags.txt"
+    tags = {"pulse_index": np.array([0, 1]), "detector": np.array(["a1", det]),
+            "time_ps": np.array([1.0, 2.0])}
+    with pytest.raises(FormatError, match=re.escape(f"detector id {det!r} {problem}")):
+        write_tag_stream(path, tags)
+    assert not path.exists()
 
 
 def test_csv_bad_header(tmp_path):

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from nongauss.errors import FormatError
 from nongauss.io_formats import read_tag_stream, write_tag_stream
 
+HEADER = "# nongauss-tags v1\n# pulse_index detector_id time_ps\n"
+
 HEADER_LINES = 2  # schema line and column line written before the tags
 
 TAG = st.tuples(
@@ -60,3 +62,13 @@ def test_one_non_finite_time_is_rejected_at_its_line(rows, data):
     tags["time_ps"][i] = bad
     with pytest.raises(FormatError, match=f"line {HEADER_LINES + i + 1}: time must be finite"):
         _write_and_read(tags)
+
+
+@PROPERTY
+@given(st.lists(TAG, max_size=40))
+def test_writer_bytes_equal_one_f_string_per_line(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tags.txt"
+        write_tag_stream(path, _tags(rows))
+        text = path.read_text()
+    assert text == HEADER + "".join(f"{p} {d} {t!r}\n" for p, d, t in rows)
