@@ -15,7 +15,6 @@ fixed seed and config reproduce them byte for byte.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -204,15 +203,7 @@ def _merge_config(parser, sub, argv, args):
     path = getattr(args, "config", None)
     if not path:
         return args
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc.strerror}") from exc
+    doc = io_formats.read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}

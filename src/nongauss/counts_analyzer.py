@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, FitError
+from .roots import brentq
 
 
 @dataclass(frozen=True)
@@ -388,8 +389,6 @@ def depth_fit(scan, model, sigma_eta=0.0, sigma_level=1.0):
         raise FitError(
             f"trajectory still clears the threshold at tau={TAU_FLOOR:.1e}"
         )
-    from scipy.optimize import brentq
-
     tau_cross = brentq(gap, TAU_FLOOR, 1.0, xtol=1e-14, rtol=1e-13)
     fit_meta["tau_cross"] = float(tau_cross)
     depth_db = -10.0 * math.log10(tau_cross) / n_success_photons

@@ -1,11 +1,11 @@
 """File formats: counts JSON, curve CSV/JSON, report JSON, scan CSV,
 peak-areas CSV, tag-stream text.
 
-Every format carries a schema name and version.  Writers are
-deterministic (sorted keys, shortest-roundtrip floats, no timestamps),
-so identical inputs produce byte-identical files.  Readers raise
-FormatError with a line or field diagnostic on malformed input, and
-every writer round-trips through its reader without loss.
+Every format is UTF-8 text and carries a schema name and version.
+Writers are deterministic (sorted keys, shortest-roundtrip floats, no
+timestamps), so identical inputs produce byte-identical files.  Readers
+raise FormatError with a line or field diagnostic on malformed input,
+and every writer round-trips through its reader without loss.
 """
 
 import csv
@@ -38,21 +38,56 @@ def _pyify(obj):
 
 
 def _dump_json(path, doc):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_pyify(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _load_json(path, expected_schema):
+def _undecodable(path):
+    """FormatError naming the line and byte offset of the first byte
+    that is not UTF-8.
+
+    A text reader decodes in chunks and its error counts from the chunk,
+    so the file is read again as bytes to place the byte in the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text reader ends a line at \n, \r\n or a lone \r
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        return FormatError(f"{path}: line {line}: byte offset {exc.start}: "
+                           f"not UTF-8 text ({exc.reason})")
+    return FormatError(f"{path}: not UTF-8 text")
+
+
+def _lines(path, fh):
+    """The lines of the open text file fh, with a decoding error named."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path) from exc
+
+
+def read_json(path):
+    """The parsed JSON document at path, or a FormatError naming the place."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path) from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
+
+
+def _load_json(path, expected_schema):
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at top level")
     schema = doc.get("schema")
@@ -191,7 +226,7 @@ def read_curve_json(path):
 
 
 def write_curve_csv(path, curve):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# nongauss-threshold-curve-csv v{SCHEMA_VERSION} "
                  f"kind={curve.kind} eta={curve.eta!r} t_bs={curve.t_bs!r} "
                  f"n_modes={curve.n_modes}\n")
@@ -205,8 +240,8 @@ def write_curve_csv(path, curve):
 
 def _read_csv_columns(path, expected_header):
     try:
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [ln for ln in _lines(path, fh) if not ln.startswith("#")]
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
     rows = list(csv.reader(lines))
@@ -238,7 +273,7 @@ def read_curve_csv(path):
 # ------------------------------------------------------------------ scan
 
 def write_scan_csv(path, scan):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# nongauss-attenuation-scan-csv v{SCHEMA_VERSION} "
                  "mode=deterministic\n")
         writer = csv.writer(fh)
@@ -265,7 +300,7 @@ def write_peak_areas_csv(path, delays, areas):
     areas = np.asarray(areas, dtype=float)
     if delays.shape != areas.shape:
         raise FormatError("delays and areas must have matching shapes")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# nongauss-peak-areas-csv v{SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
         writer.writerow(["delay_index", "area"])
@@ -298,6 +333,7 @@ TAG_ID_MAX = 8  # characters in a detector id
 # character wider than an id may be, so a longer id shows
 TAG_DTYPE = [("p", "i8"), ("d", f"U{TAG_ID_MAX + 1}"), ("t", "f8")]
 TAG_CHUNK = 1 << 16  # lines joined per write, so memory stays flat
+PULSE_MIN, PULSE_MAX = -(1 << 63), (1 << 63) - 1  # the int64 pulse column
 
 
 def _tag_id_problem(text):
@@ -322,7 +358,7 @@ def write_tag_stream(path, tags):
         problem = _tag_id_problem(text)
         if problem:
             raise FormatError(f"detector id {text!r} {problem}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nongauss-tags v{SCHEMA_VERSION}\n")
         fh.write("# pulse_index detector_id time_ps\n")
         for i in range(0, len(pulse), TAG_CHUNK):
@@ -342,8 +378,8 @@ def read_tag_stream(path):
     raises the FormatError that names the line.
     """
     try:
-        with open(path) as fh:
-            skip = next((i for i, line in enumerate(fh)
+        with open(path, encoding="utf-8") as fh:
+            skip = next((i for i, line in enumerate(_lines(path, fh))
                          if line.strip() and not line.startswith("#")), None)
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
@@ -355,7 +391,7 @@ def read_tag_stream(path):
             # DeprecationWarning; the line parser refuses it
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(path, dtype=TAG_DTYPE, comments=None,
-                              skiprows=skip, ndmin=1)
+                              skiprows=skip, ndmin=1, encoding="utf-8")
     except (ValueError, DeprecationWarning):
         return _parse_tag_lines(path)
     if ((np.char.str_len(rows["d"]) > TAG_ID_MAX).any()
@@ -372,26 +408,30 @@ def _parse_tag_lines(path):
     """The tag-stream grammar, one Python line at a time."""
     pulses, dets, times = [], [], []
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
     with fh:
-        for i, line in enumerate(fh, start=1):
+        for i, line in enumerate(_lines(path, fh), start=1):
             if line.startswith("#") or not line.strip():
                 continue
             parts = line.split()
             if len(parts) != 3:
                 raise FormatError(f"{path}: line {i}: expected 3 fields")
             try:
-                pulses.append(int(parts[0]))
+                pulse = int(parts[0])
                 t = float(parts[2])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {i}: {exc}") from exc
+            if not PULSE_MIN <= pulse <= PULSE_MAX:
+                raise FormatError(f"{path}: line {i}: pulse index {parts[0]} "
+                                  "does not fit in a 64-bit integer")
             if not math.isfinite(t):
                 raise FormatError(f"{path}: line {i}: time must be finite")
             if len(parts[1]) > TAG_ID_MAX:
                 raise FormatError(f"{path}: line {i}: detector id {parts[1]!r} "
                                   f"is longer than {TAG_ID_MAX} characters")
+            pulses.append(pulse)
             times.append(t)
             dets.append(parts[1])
     return {

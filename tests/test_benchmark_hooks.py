@@ -77,3 +77,27 @@ def test_traced_tag_io_is_reached(tmp_path):
     for name in ("io_formats.write_tag_stream", "io_formats.read_tag_stream"):
         assert name in ran, f"{name} was wrapped but never called"
         assert tracer.counts[f"{name}.bytes"] == tags.stat().st_size
+
+
+def test_traced_analyzer_is_reached(tmp_path):
+    # cmd_analyze calls the analyzer through the cli attributes that the
+    # traced run wraps; certified counts make depth_fit cross
+    from nongauss import cli, io_formats
+
+    counts, out = str(tmp_path / "single.json"), str(tmp_path / "single")
+    assert cli.main(["simulate", "--source", "single", "--pulses", "20000",
+                     "--seed", "7", "--eta", "0.1467", "--double-prob", "0.01",
+                     "--out", counts]) == 0
+    tracer = traced.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["analyze", "--counts", counts, "--criterion", "single-approx",
+                         "--eta", "0.1467", "--sigma-eta", "0.0034", "--out", out])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert io_formats.read_report_json(f"{out}_report.json")["depth"]["status"] == "crossed"
+    ran = {span[0] for span in tracer.spans}
+    for name in ("counts_analyzer.attenuation_scan", "counts_analyzer.depth_fit",
+                 "counts_analyzer.sigma_distance"):
+        assert name in ran, f"{name} was wrapped but never called"

@@ -129,6 +129,23 @@ def test_threshold_rejects_config_n(tmp_path, capsys, n):
     assert not list(tmp_path.glob("curve*"))
 
 
+@pytest.mark.parametrize("flag", ["--counts", "--config"])
+def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, pair_file, capsys, flag):
+    # one byte that does not decode is named, with no traceback and no output
+    path = pair_file if flag == "--counts" else tmp_path / "run.json"
+    if flag == "--config":
+        path.write_text(json.dumps({"counts": str(pair_file)}, indent=2))
+    data = path.read_bytes()
+    path.write_bytes(data[:5] + b"\xff" + data[5:])
+    argv = ["analyze", "--counts", str(pair_file), "--out", str(tmp_path / "pair")]
+    if flag == "--config":
+        argv[1:3] = ["--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 2: byte offset 5: not UTF-8 text")
+    assert not list(tmp_path.glob("pair_*"))
+
+
 def test_analyze_reference_pair_point(tmp_path, pair_file, capsys):
     out = tmp_path / "pair"
     code = main(["analyze", "--counts", str(pair_file), "--eta", "0.1467",

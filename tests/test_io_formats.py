@@ -219,6 +219,14 @@ def _tag_rows(tags):
                  id="nine-character-id"),
     pytest.param("1.0 a1 1.5\n", "line 3: invalid literal for int()", id="float-pulse"),
     pytest.param("0 a\xa0b 1.5\n", "line 3: expected 3 fields", id="unicode-space"),
+    pytest.param("9223372036854775807 a1 1.5\n-9223372036854775808 b1 2.5\n",
+                 [(2**63 - 1, "a1", 1.5), (-2**63, "b1", 2.5)], id="int64-ends"),
+    pytest.param("0 a1 1.5\n99999999999999999999 a1 2.5\n",
+                 "line 4: pulse index 99999999999999999999 does not fit in a "
+                 "64-bit integer", id="pulse-beyond-int64"),
+    pytest.param("-9223372036854775809 a1 2.5\n",
+                 "line 3: pulse index -9223372036854775809 does not fit in a "
+                 "64-bit integer", id="pulse-below-int64"),
 ])
 def test_tag_reader_matches_the_line_parser(tmp_path, body, result):
     path = tmp_path / "tags.txt"
@@ -297,4 +305,70 @@ def test_csv_bad_header(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(FormatError, match="header"):
+        read_scan_csv(path)
+
+
+TAGS = {
+    "pulse_index": np.array([0, 0, 5, 17], dtype=np.int64),
+    "detector": np.array(["a1", "b1", "a2", "b2"]),
+    "time_ps": np.array([103.25, 501.5, 88.0625, 1407.999]),
+}
+
+# (writer of a valid file, its reader); every file has at least 3 lines
+FORMATS = {
+    "counts": (lambda p: write_counts_json(p, PAIR_COUNTS), read_counts_json),
+    "curve-json": (lambda p: write_curve_json(p, _curve()), read_curve_json),
+    "report": (lambda p: write_report_json(p, {"certified": True}), read_report_json),
+    "curve-csv": (lambda p: write_curve_csv(p, _curve()), read_curve_csv),
+    "scan-csv": (lambda p: write_scan_csv(p, attenuation_scan(PAIR_COUNTS)),
+                 read_scan_csv),
+    "peak-areas": (lambda p: write_peak_areas_csv(p, np.arange(1, 11),
+                                                  np.linspace(9.0, 2.0, 10)),
+                   read_peak_areas_csv),
+    "tags": (lambda p: write_tag_stream(p, TAGS), read_tag_stream),
+}
+
+
+def _splice_byte(path, line, byte=b"\xff"):
+    """Put byte after the first character of line (1-based); its offset."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    offset = len(b"".join(lines[:line - 1])) + 1
+    lines[line - 1] = lines[line - 1][:1] + byte + lines[line - 1][1:]
+    path.write_bytes(b"".join(lines))
+    return offset
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_a_byte_that_is_not_utf8_is_named(tmp_path, name):
+    write, read = FORMATS[name]
+    path = tmp_path / name
+    write(path)
+    offset = _splice_byte(path, 3)
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: line 3: byte offset {offset}: not UTF-8 text")):
+        read(path)
+
+
+def test_a_byte_that_is_not_utf8_past_the_first_block_of_tags(tmp_path):
+    # the scan for the first data line decodes only the first block, so
+    # np.loadtxt meets the byte and the line parser names it
+    n = 2000
+    tags = {"pulse_index": np.arange(n), "detector": np.array(["a1"] * n),
+            "time_ps": np.full(n, 1407.999)}
+    path = tmp_path / "tags.txt"
+    write_tag_stream(path, tags)
+    offset = _splice_byte(path, n + 2)
+    assert offset > 8192
+    for read in (read_tag_stream, io_formats._parse_tag_lines):
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: line {n + 2}: byte offset {offset}: not UTF-8 text")):
+            read(path)
+
+
+def test_a_byte_that_is_not_utf8_after_lone_carriage_returns(tmp_path):
+    # the text reader ends a line at \r as well as at \n and \r\n
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"attenuation,p_e,sigma_pe,p_s,sigma_ps\r\r\n0,1\xff\n")
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: line 3: byte offset 43: not UTF-8 text")):
         read_scan_csv(path)

@@ -1,8 +1,8 @@
 """scipy and mpmath load on first use, not with the package.
 
 Every CLI run and every library read-back step imports ``nongauss.cli``;
-the ones that never solve, fit or run the Fock oracle must not pay for
-scipy or mpmath.  Each check runs in a fresh interpreter, since this
+the ones that never solve, fit peak areas or run the Fock oracle must
+not pay for scipy or mpmath.  Each check runs in a fresh interpreter, since this
 test process has loaded both long before.
 """
 
@@ -43,5 +43,19 @@ assert cli.main(["threshold", "--mode", "pair", "--eta", "0.5",
 curve = io_formats.read_curve_json("curve.json")
 curve.value(curve.p_error[1:-1])
 io_formats.read_tag_stream("qd_tags.txt")
+"""
+    assert _loaded_after(code, tmp_path) == []
+
+
+def test_analyzing_counts_that_cross_loads_neither(tmp_path):
+    # the campaign's analyze-single step: certified, so depth_fit crosses
+    code = """\
+from nongauss import cli, io_formats
+assert cli.main(["simulate", "--source", "single", "--pulses", "20000", "--seed", "7",
+                 "--eta", "0.1467", "--double-prob", "0.01", "--out", "single.json"]) == 0
+assert cli.main(["analyze", "--counts", "single.json", "--criterion", "single-approx",
+                 "--eta", "0.1467", "--sigma-eta", "0.0034", "--out", "single"]) == 0
+report = io_formats.read_report_json("single_report.json")
+assert report["certified"] and report["depth"]["status"] == "crossed", report
 """
     assert _loaded_after(code, tmp_path) == []
