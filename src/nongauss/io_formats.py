@@ -241,16 +241,20 @@ def write_curve_csv(path, curve):
 def _read_csv_columns(path, expected_header):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            lines = [ln for ln in _lines(path, fh) if not ln.startswith("#")]
+            # the lines that are not comments, with their numbers in the file
+            numbered = [(n, ln) for n, ln in enumerate(_lines(path, fh), start=1)
+                        if not ln.startswith("#")]
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
-    rows = list(csv.reader(lines))
-    if not rows or rows[0] != expected_header:
+    reader = csv.reader(ln for _, ln in numbered)
+    # (file line the row ends on, fields)
+    rows = [(numbered[reader.line_num - 1][0], row) for row in reader]
+    if not rows or rows[0][1] != expected_header:
         raise FormatError(
             f"{path}: expected header {','.join(expected_header)!r}"
         )
     columns = [[] for _ in expected_header]
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(expected_header):
             raise FormatError(f"{path}: line {i}: expected {len(expected_header)} fields")
         for j, cell in enumerate(row):

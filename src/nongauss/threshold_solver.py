@@ -62,17 +62,19 @@ def _check_count(name, value, least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first call.
+def minimize(fun, x0, xatol, fatol, maxiter, maxfev):
+    """Nelder–Mead from x0: nongauss.simplex.nelder_mead.
 
-    Importing scipy.optimize would be the largest part of importing the
-    CLI, so it is put off until the first solve; runs that solve no
-    point never pay for it.  _solve_point calls this through the module
-    attribute, where the traced benchmark wraps it.
+    The port takes scipy's steps without importing scipy.optimize,
+    which would be the largest part of a sweep's start-up; it is itself
+    imported on the first solve, so runs that solve no point do not
+    load it.  _solve_point calls this through the module attribute,
+    where the traced benchmark wraps it and reads nit and nfev from
+    the result.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    from .simplex import nelder_mead
 
-    return scipy_minimize(fun, x0, **kwargs)
+    return nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev)
 
 
 def _solve_point(kind, alpha, objective, seeds, warm, finish):
@@ -88,12 +90,8 @@ def _solve_point(kind, alpha, objective, seeds, warm, finish):
         # stop once the simplex f-spread is negligible against the
         # objective scale; fatol=0 would spin until exact collapse
         fatol = max(abs(objective(seed)) * 1e-13, 1e-280)
-        res = minimize(
-            objective,
-            seed,
-            method="Nelder-Mead",
-            options=dict(xatol=XATOL, fatol=fatol, maxiter=maxiter, maxfev=2 * maxiter),
-        )
+        res = minimize(objective, seed, xatol=XATOL, fatol=fatol, maxiter=maxiter,
+                       maxfev=2 * maxiter)
         if best is None or res.fun < best.fun:
             best = res
     fvals = best.final_simplex[1]

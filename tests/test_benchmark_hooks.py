@@ -55,6 +55,9 @@ def test_traced_call_sites_are_reached():
     ran = {span[0] for span in tracer.spans}
     for span in (traced.MINIMIZE, *traced.KERNELS):
         assert span in ran, f"{span} was wrapped but never called"
+    # the recorder reads nit and nfev off each simplex result
+    assert tracer.counts["simplex_nit"] > 0
+    assert tracer.counts["simplex_nfev"] > 0
 
 
 def test_traced_tag_io_is_reached(tmp_path):

@@ -349,6 +349,24 @@ def test_a_byte_that_is_not_utf8_is_named(tmp_path, name):
         read(path)
 
 
+@pytest.mark.parametrize("name", ["curve-csv", "scan-csv", "peak-areas"])
+def test_a_bad_csv_row_is_named_by_its_line_in_the_file(tmp_path, name):
+    # line 1 is the schema comment, line 2 the header, line 3 the first row
+    write, read = FORMATS[name]
+    path = tmp_path / name
+    write(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 3: bad number 'abc'")):
+        read(path)
+    # a comment between rows still counts as a line
+    lines[2:3] = ["# a note\n", "1\n"]
+    path.write_text("".join(lines))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 4: expected ")):
+        read(path)
+
+
 def test_a_byte_that_is_not_utf8_past_the_first_block_of_tags(tmp_path):
     # the scan for the first data line decodes only the first block, so
     # np.loadtxt meets the byte and the line parser names it

@@ -1,9 +1,10 @@
 """scipy and mpmath load on first use, not with the package.
 
 Every CLI run and every library read-back step imports ``nongauss.cli``;
-the ones that never solve, fit peak areas or run the Fock oracle must
-not pay for scipy or mpmath.  Each check runs in a fresh interpreter, since this
-test process has loaded both long before.
+the ones that never fit peak areas or run the Fock oracle must not pay
+for scipy, and only the single-photon sweep's 50-digit re-evaluation
+loads mpmath.  Each check runs in a fresh interpreter, since this test
+process has loaded both long before.
 """
 
 import json
@@ -59,3 +60,21 @@ report = io_formats.read_report_json("single_report.json")
 assert report["certified"] and report["depth"]["status"] == "crossed", report
 """
     assert _loaded_after(code, tmp_path) == []
+
+
+def test_sweeping_thresholds_loads_no_scipy(tmp_path):
+    # the simplex is nongauss.simplex, not scipy.optimize
+    pair = """\
+from nongauss import cli
+assert cli.main(["threshold", "--mode", "pair", "--eta", "0.1467", "--n", "4",
+                 "--points", "5", "--out", "pair"]) == 0
+"""
+    assert _loaded_after(pair, tmp_path) == []
+    single = """\
+from nongauss import cli
+assert cli.main(["threshold", "--mode", "single", "--eta", "0.5",
+                 "--points", "5", "--out", "single"]) == 0
+"""
+    # mpmath still re-evaluates each solved point
+    loaded = _loaded_after(single, tmp_path)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
