@@ -9,6 +9,9 @@ parameters, an initial simplex or a callback: it evaluates f at the
 same points, in the same order, and returns the same x, fun, nit, nfev
 and final simplex as ``scipy.optimize.minimize(method="Nelder-Mead")``
 with the same options.
+
+The threshold solver does not call it: ``threshold_solver.minimize``
+is a damped Newton method.
 """
 
 from dataclasses import dataclass

@@ -19,6 +19,7 @@ the counts analyzer consumes.
 import dataclasses
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,20 @@ from .photon_statistics.pair_formulas import multimode_click_rates
 from .photon_statistics.types import DetectionConfig, GaussianStateParams
 
 LOG_FLOOR = -690.0  # exp() underflows to zero a bit below this
+LOG_CEIL = 3.0  # upper edge of the search box in log d and log r
+LOG2 = math.log(2.0)
 
 # Solver tuning, shared by both families
 SEED_SCALES = (0.5, 1.0, 2.0)  # cold-start multiples of the seed guess
-XATOL = 1e-10
-MAXITER = 6000  # cold start; maxfev is twice this
-WARM_MAXITER = 2000  # warm-started point of a sweep
+WALL = 1e10  # objective beyond the search box; v < WALL is False for NaN too
+FD_STEP = 1e-5  # finite-difference step in the search variables
+WIDEST_STEP = 1e-2  # widest step that measures a curvature too weak for FD_STEP
+STEP_CAP = 0.5  # longest step
+MAX_STEPS = 100  # Newton iterations of one run
+MAX_HALVINGS = 40  # step halvings before a run stops
+ROUNDING = 2.0**-49  # rounding level of an objective value, relative (8 ulp)
 MP_DPS = 50  # digits of the one re-evaluation of each solved single-photon point
-RESIDUAL_TOL = 1e-5  # largest relative f-spread of an accepted simplex
+RESIDUAL_TOL = 1e-14  # largest Newton decrement, relative to |F|, of an accepted point
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,11 @@ class RateOptimum:
     params: dict
 
 
+# a run's last iterate, f there, steps, evaluations, and its Newton
+# decrement over |f| (inf where the Hessian is not positive definite)
+NewtonResult = namedtuple("NewtonResult", "x fun nit nfev residual")
+
+
 def _check_point(alpha, eta, t_bs):
     if alpha <= 0:
         raise DomainError(f"alpha must be > 0, got {alpha}")
@@ -62,46 +74,163 @@ def _check_count(name, value, least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def minimize(fun, x0, xatol, fatol, maxiter, maxfev):
-    """Nelder–Mead from x0: nongauss.simplex.nelder_mead.
+def _derivatives(f, x, f0):
+    """Gradient, Hessian and wall sides of f at x from differences of step
+    FD_STEP: central, or along an axis with a neighbour beyond the wall
+    from the three points on the other side, side +1 (the wall ahead)
+    or -1 (behind), or None if those do not lie inside."""
+    h, n = FD_STEP, len(x)
 
-    The port takes scipy's steps without importing scipy.optimize,
-    which would be the largest part of a sweep's start-up; it is itself
-    imported on the first solve, so runs that solve no point do not
-    load it.  _solve_point calls this through the module attribute,
-    where the traced benchmark wraps it and reads nit and nfev from
-    the result.
+    def at(*steps):
+        return f([xi + si * h for xi, si in zip(x, steps)])
+
+    g, hess, side, near, far = [0.0] * n, [[0.0] * n for _ in x], [0] * n, [0.0] * n, [0.0] * n
+    for i in range(n):
+        e = [float(i == j) for j in range(n)]
+        lo, mid, hi = at(*(-v for v in e)), f0, at(*e)
+        if not hi < WALL:
+            side[i], (lo, mid, hi) = 1, (at(*(-2 * v for v in e)), lo, f0)
+        elif not lo < WALL:
+            side[i], (lo, mid, hi) = -1, (f0, hi, at(*(2 * v for v in e)))
+        if not (lo < WALL and mid < WALL and hi < WALL):
+            side[i] = None
+            continue
+        hess[i][i] = (hi - 2 * mid + lo) / h**2
+        g[i] = (hi - lo) / (2 * h) + side[i] * hess[i][i] * h  # at x, from the middle point
+        near[i], far[i] = (mid, 0.0) if side[i] else (hi, lo)
+    if n == 2 and side == [0, 0]:
+        hess[0][1] = hess[1][0] = (at(1, 1) + at(-1, -1) - sum(near) - sum(far)
+                                   + 2 * f0) / (2 * h**2)
+    elif n == 2 and None not in side:
+        s0, s1 = (-1 if side[0] == 1 else 1), (-1 if side[1] == 1 else 1)
+        fd = at(s0, s1)
+        if fd < WALL:
+            hess[0][1] = hess[1][0] = (fd - near[0] - near[1] + f0) / (s0 * s1 * h**2)
+    return g, hess, side
+
+
+def _model(f, x, f0, g, hess, free, noise):
+    """(step, residual, flat) of the quadratic model over the free axes;
+    the residual is the decrement over |f0|.
+
+    A curvature (Hessian eigenvalue) at or below its rounding floor,
+    noise over the step squared, is measured again with steps ten times
+    wider, up to WIDEST_STEP.  If all clear their floors, the step is
+    Newton's, -H^-1 g, and the decrement (1/2) g^T H^-1 g.  Otherwise
+    the step is -|H|^-1 g, downhill along negative curvature too, and
+    STEP_CAP along unseen curvature; the decrement is 0 where f is flat
+    (gradient at rounding level, no curvature negative), else infinite.
     """
-    from .simplex import nelder_mead
+    sub = [[hess[i][j] for j in free] for i in free]
+    if len(free) == 2:
+        (a, b), (_, d) = sub
+        m, r, t = 0.5 * (a + d), math.hypot(0.5 * (a - d), b), 0.5 * math.atan2(2 * b, a - d)
+        pairs = [(m + r, (math.cos(t), math.sin(t))), (m - r, (-math.sin(t), math.cos(t)))]
+    else:
+        pairs = [(row[0], (1.0,)) for row in sub]
+    curvatures, step = [], [0.0] * len(x)
+    for lam, v in pairs:
+        u = [v[free.index(i)] if i in free else 0.0 for i in range(len(x))]
+        h = FD_STEP
+        while abs(lam) * h * h <= noise and h < WIDEST_STEP:
+            fp, fm = (f([xi + s * 10 * h * ui for xi, ui in zip(x, u)]) for s in (1, -1))
+            if not (fp < WALL and fm < WALL):
+                break
+            h *= 10
+            lam = (fp - 2 * f0 + fm) / (h * h)
+        c, floor = sum(gi * ui for gi, ui in zip(g, u)), noise / (h * h)
+        s = -c / abs(lam) if abs(lam) > floor else -math.copysign(STEP_CAP, c) if c else 0.0
+        step = [si + s * ui for si, ui in zip(step, u)]
+        curvatures.append((lam, floor, c))
+    if all(lam > floor for lam, floor, _ in curvatures):
+        decrement = 0.5 * sum(c * c / lam for lam, _, c in curvatures)
+        return step, decrement / max(abs(f0), 1e-300), False
+    flat = all(abs(c) * FD_STEP <= noise and lam >= -floor for lam, floor, c in curvatures)
+    return step, 0.0 if flat else math.inf, flat
 
-    return nelder_mead(fun, x0, xatol, fatol, maxiter, maxfev)
 
+def minimize(fun, x0):
+    """Damped Newton from x0 over one or two search variables.
 
-def _solve_point(kind, alpha, objective, seeds, warm, finish):
-    """Multistart simplex at one penalty weight.
-
-    finish(x) maps the best search point to (params, p_success,
-    p_error); a simplex that has not collapsed raises SolverError.
+    Steps from _model are capped at STEP_CAP and halved until f falls.
+    fun is WALL beyond the search box, a bound: a step into it is drawn
+    on up to it, and an axis at it is held while f does not rise
+    towards it.  The run stops once the Newton decrement (the fall in
+    f the quadratic model predicts) is RESIDUAL_TOL of |f| or less,
+    where f is flat (decrement 0), or when no step lowers f.
+    _solve_point calls this through the module attribute, where the
+    traced benchmark wraps it and reads nit and nfev from the result.
     """
-    maxiter = WARM_MAXITER if warm else MAXITER
-    best = None
-    for seed in seeds:
-        seed = np.asarray(seed, dtype=float)
-        # stop once the simplex f-spread is negligible against the
-        # objective scale; fatol=0 would spin until exact collapse
-        fatol = max(abs(objective(seed)) * 1e-13, 1e-280)
-        res = minimize(objective, seed, xatol=XATOL, fatol=fatol, maxiter=maxiter,
-                       maxfev=2 * maxiter)
-        if best is None or res.fun < best.fun:
-            best = res
-    fvals = best.final_simplex[1]
-    scale = max(abs(fvals[0]), 1e-300)
-    residual = float((fvals.max() - fvals.min()) / scale)
+    nfev = 0
+
+    def f(y):
+        nonlocal nfev
+        nfev += 1
+        return fun(y)
+
+    x = [float(v) for v in x0]
+    fx = f(x)
+    nit = 0
+    while True:
+        noise = ROUNDING * abs(fx)
+        g, hess, side = _derivatives(f, x, fx)
+        free = [i for i, s in enumerate(side)
+                if s == 0 or (s is not None and s * g[i] * FD_STEP > noise)]
+        step, residual, flat = _model(f, x, fx, g, hess, free, noise)
+        if (residual <= RESIDUAL_TOL and not flat) or nit == MAX_STEPS or not any(step):
+            break
+        t, walled = min(1.0, STEP_CAP / math.hypot(*step)), False
+        for _ in range(MAX_HALVINGS):
+            trial = [xi + t * si for xi, si in zip(x, step)]
+            ft = f(trial)
+            # an equal value passes where f is not flat: a stencil that
+            # straddles the clamped edge of the box steps past it so
+            if ft < fx or (ft == fx and not flat):
+                break
+            t, walled = 0.5 * t, not ft < WALL
+        else:
+            # no step lowers f.  Where the step left the wall, the model
+            # (from points FD_STEP apart) misses finer structure there:
+            # the axes at the wall are held, and the rest judged alone
+            if any(side[i] for i in free):
+                free = [i for i in free if not side[i]]
+                step, residual, flat = _model(f, x, fx, g, hess, free, noise)
+            break
+        # the wall lies within twice the step: bisect up to it, until
+        # the ends round to the same point
+        lo, hi = t, 2 * t
+        while walled:
+            mid = 0.5 * (lo + hi)
+            point = [xi + mid * si for xi, si in zip(x, step)]
+            walled = point not in (trial, [xi + hi * si for xi, si in zip(x, step)])
+            fmid = f(point) if walled else WALL
+            if fmid <= ft:
+                lo, ft, trial = mid, fmid, point
+            else:
+                hi = mid
+        x, fx = trial, ft
+        nit += 1
+    return NewtonResult(tuple(x), fx, nit, nfev, residual)
+
+
+def _solve_point(kind, alpha, objective, warm, seeds, finish):
+    """Damped Newton at one penalty weight, from warm or else every seed.
+
+    Every seed also runs where the warm run fails, ends at F <= 0 (F
+    is positive near the vacuum) or alpha < 1 (the brightest states of
+    the box reach F = 1 - alpha and can take over from the warm
+    start's branch).  finish(x) maps the best point to (params,
+    p_success, p_error); a residual above RESIDUAL_TOL raises
+    SolverError."""
+    runs = [] if warm is None else [minimize(objective, warm)]
+    if not runs or alpha < 1.0 or not (runs[0].residual <= RESIDUAL_TOL and runs[0].fun < 0.0):
+        runs += [minimize(objective, seed) for seed in seeds]
+    best = min(runs, key=lambda res: (res.fun, res.residual))  # ties: the lower residual
     params, p_success, p_error = finish(best.x)
-    if not np.isfinite(best.fun) or residual > RESIDUAL_TOL:
+    if not (math.isfinite(best.fun) and best.residual <= RESIDUAL_TOL):
         raise SolverError(
             f"{kind}-rate optimization stalled at alpha={alpha:.3e} "
-            f"(residual {residual:.2e})",
+            f"(residual {best.residual:.2e})",
             best_point=params,
             best_value=-best.fun,
         )
@@ -110,60 +239,55 @@ def _solve_point(kind, alpha, objective, seeds, warm, finish):
         p_success=float(p_success),
         p_error=float(max(p_error, 0.0)),
         objective=-float(best.fun),
-        residual=residual,
+        residual=float(best.residual),
         params=params,
     )
 
 
 def _single_state(x):
-    log_d, log_r = x
-    return GaussianStateParams(
-        float(np.exp(max(log_d, LOG_FLOOR))),
-        float(np.exp(max(log_r, LOG_FLOOR))),
-    )
+    # ridge coordinates (log d, w) with r = (d/2)^2 e^w.  log r is
+    # clamped to the box rather than walled: its edge runs diagonally
+    # here, where a wall would hold both axes short of the box corner
+    log_r = 2.0 * (x[0] - LOG2) + x[1]
+    return GaussianStateParams(math.exp(max(x[0], LOG_FLOOR)),
+                               math.exp(min(max(log_r, LOG_FLOOR), LOG_CEIL)))
 
 
 def _single_objective(alpha, k1, k2):
     def objective(x):
-        if x[0] > 3.0 or x[1] > 3.0:
-            return 1e10
+        if x[0] > LOG_CEIL:
+            return WALL
         p1, p_error = single_click_rates(_single_state(x), k1, k2)
         return -(p1 - alpha * p_error)
 
     return objective
 
 
-def _single_seeds(alpha, eta, t_bs, warm_start):
-    # the optimum sits near the locus where one- and two-photon
-    # amplitudes cancel, r ~ (d/2)^2, and the success rate scales like
-    # sqrt(c / (3 alpha)) with c the small-rate coefficient
+def _single_seeds(alpha, eta, t_bs):
+    # on the locus where one- and two-photon amplitudes cancel,
+    # r ~ (d/2)^2 or w = 0, with the success rate scaling like
+    # sqrt(c / (3 alpha)), c the small-rate coefficient
     c = eta / (4.0 * (2.0 - eta))
-    p1_guess = np.sqrt(c / (3.0 * alpha))
-    d0 = 2.0 * np.sqrt(max(p1_guess / (eta * t_bs), 1e-300))
-    seeds = []
-    if warm_start is not None:
-        d, r = warm_start["displacement_amplitude"], warm_start["squeezing"]
-        if d > 0 and r > 0:
-            seeds.append((np.log(d), np.log(r)))
-    for fac in SEED_SCALES if warm_start is None else (1.0,):
-        d = d0 * fac
-        seeds.append((np.log(d), np.log(max((d / 2.0) ** 2, 1e-300))))
-    if warm_start is None:
-        seeds.append((np.log(0.5), np.log(0.05)))
+    p1_guess = math.sqrt(c / (3.0 * alpha))
+    d0 = 2.0 * math.sqrt(max(p1_guess / (eta * t_bs), 1e-300))
+    seeds = [(math.log(d0 * fac), 0.0) for fac in SEED_SCALES]
+    seeds.append((math.log(0.5), math.log(0.05) - 2.0 * math.log(0.25)))
     return seeds
 
 
 def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
     """Best displaced squeezed vacuum at one penalty weight.
 
-    The search runs over (log d, log r) at relative angle 0, where the
-    one- and two-photon amplitudes can cancel (gamma^2 = tanh r); a
-    search over the angle as well finds no better state.  It runs in
-    float64 on single_click_rates, whose photon-number sum keeps the
-    double-click rate's relative precision far below the cancellation
-    floor of 1 - q1 - q2 + q12.  The solved point is then
-    evaluated once more by the closed form at MP_DPS digits, an
-    independent route, and those are the rates it reports.
+    The search runs at relative angle 0, where the one- and two-photon
+    amplitudes can cancel (gamma^2 = tanh r); a search over the angle
+    as well finds no better state.  It runs over ridge coordinates
+    (log d, w), r = (d/2)^2 e^w: the optimum sits on a narrow ridge
+    near w = 0, diagonal in (log d, log r).  It runs in float64 on
+    single_click_rates, whose photon-number sum keeps the double-click
+    rate's relative precision far below the cancellation floor of
+    1 - q1 - q2 + q12.  The solved point is then evaluated once more
+    by the closed form at MP_DPS digits, an independent route, and
+    those are the rates it reports.
     """
     _check_point(alpha, eta, t_bs)
     k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
@@ -180,9 +304,13 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
             p_success, p_error = float(1 - q1), float(1 - q1 - q2 + q12)
         return dataclasses.asdict(params), p_success, p_error
 
-    return _solve_point("single", alpha, _single_objective(alpha, k1, k2),
-                        _single_seeds(alpha, eta, t_bs, warm_start),
-                        warm_start is not None, finish)
+    warm = None
+    if warm_start is not None:
+        d, r = warm_start["displacement_amplitude"], warm_start["squeezing"]
+        if d > 0 and r > 0:
+            warm = (math.log(d), math.log(r) - 2.0 * (math.log(d) - LOG2))
+    return _solve_point("single", alpha, _single_objective(alpha, k1, k2), warm,
+                        _single_seeds(alpha, eta, t_bs), finish)
 
 
 def _pair_ensemble(x, n_modes):
@@ -194,25 +322,18 @@ def _pair_ensemble(x, n_modes):
 def _pair_objective(alpha, eta, n_modes, t_bs):
     def objective(x):
         if x[0] > -1e-9:
-            return 1e10
+            return WALL
         p_s, p_e = multimode_click_rates(_pair_ensemble(x, n_modes), eta, t_bs, t_bs)
         return -(p_s - alpha * p_e)
 
     return objective
 
 
-def _pair_seeds(alpha, n_modes, warm_start):
+def _pair_seeds(alpha, n_modes):
     # the small-rate stationarity condition puts the shared brightness
     # near 1 / (2 alpha (n + 1))
     mu0 = 1.0 / (2.0 * alpha * (n_modes + 1.0))
-    seeds = []
-    if warm_start is not None:
-        mus = np.asarray(warm_start["pair_brightness"], dtype=float)
-        if np.all(mus > 0):
-            seeds.append([np.log(mus.mean())])
-    for fac in SEED_SCALES if warm_start is None else (1.0,):
-        seeds.append([np.log(min(mu0 * fac, 0.5))])
-    return seeds
+    return [(math.log(min(mu0 * fac, 0.5)),) for fac in SEED_SCALES]
 
 
 def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, warm_start=None):
@@ -228,9 +349,11 @@ def maximize_pair_rate(alpha, eta, n_modes=1, t_bs=0.5, warm_start=None):
         p_success, p_error = multimode_click_rates(mus, eta, t_bs, t_bs)
         return {"pair_brightness": mus}, p_success, p_error
 
-    return _solve_point("pair", alpha, _pair_objective(alpha, eta, n_modes, t_bs),
-                        _pair_seeds(alpha, n_modes, warm_start),
-                        warm_start is not None, finish)
+    warm = None
+    if warm_start is not None and min(warm_start["pair_brightness"]) > 0:
+        warm = (math.log(np.mean(warm_start["pair_brightness"])),)
+    return _solve_point("pair", alpha, _pair_objective(alpha, eta, n_modes, t_bs), warm,
+                        _pair_seeds(alpha, n_modes), finish)
 
 
 @dataclass(frozen=True)
@@ -265,6 +388,8 @@ class ThresholdCurve:
     def value(self, p_error):
         """Interpolated success threshold at a given error probability."""
         pe = np.asarray(p_error, dtype=float)
+        if not np.all(np.isfinite(pe)):
+            raise DomainError(f"p_error must be finite, got {p_error!r}")
         if np.any(pe < self.p_error[0]) or np.any(pe > self.p_error[-1]):
             raise DomainError(
                 f"p_error outside curve support [{self.p_error[0]:.3e}, {self.p_error[-1]:.3e}]"
@@ -351,7 +476,7 @@ def pair_threshold_curve(eta, n_modes=1, t_bs=0.5, *, alpha_min=1.0, alpha_max=1
 
 
 def _curve_from_optima(kind, eta, t_bs, n_modes, optima, grid_meta):
-    search = "nelder-mead" if kind == "single" else "nelder-mead over one shared log-brightness"
+    over = "ridge coordinates (log d, w)" if kind == "single" else "one shared log-brightness"
     return ThresholdCurve(
         kind=kind,
         eta=eta,
@@ -364,7 +489,8 @@ def _curve_from_optima(kind, eta, t_bs, n_modes, optima, grid_meta):
         params=tuple(o.params for o in optima),
         meta={
             "objective": "p_success - alpha * p_error",
-            "optimizer": f"{search}, multistart, warm-started sweep",
+            "optimizer": f"damped newton over {over}, warm-started sweep, "
+                         "multistart when cold",
             "mp_dps": MP_DPS if kind == "single" else None,
             **grid_meta,
         },

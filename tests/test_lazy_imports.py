@@ -63,7 +63,7 @@ assert report["certified"] and report["depth"]["status"] == "crossed", report
 
 
 def test_sweeping_thresholds_loads_no_scipy(tmp_path):
-    # the simplex is nongauss.simplex, not scipy.optimize
+    # the point solver is threshold_solver.minimize, not scipy.optimize
     pair = """\
 from nongauss import cli
 assert cli.main(["threshold", "--mode", "pair", "--eta", "0.1467", "--n", "4",

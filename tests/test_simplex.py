@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from nongauss import threshold_solver
 from nongauss.simplex import nelder_mead
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -119,23 +118,3 @@ def test_a_short_budget_stops_both_at_the_same_evaluation(kind, center, scale, w
     _assert_same(ours, theirs)
     assert ours[0].nfev == len(ours[1]) == maxfev
 
-
-def _solver_options(objective, seed):
-    # as _solve_point passes them to a cold start
-    return dict(xatol=threshold_solver.XATOL,
-                fatol=max(abs(objective(np.asarray(seed, dtype=float))) * 1e-13, 1e-280),
-                maxiter=threshold_solver.MAXITER, maxfev=2 * threshold_solver.MAXITER)
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1e8])
-def test_the_pair_objective_takes_scipys_steps(alpha):
-    objective = threshold_solver._pair_objective(alpha, 0.1467, 4, 0.5)
-    for seed in threshold_solver._pair_seeds(alpha, 4, None):
-        _assert_same(*_run_both(objective, seed, _solver_options(objective, seed)))
-
-
-@pytest.mark.parametrize("alpha", [1.0, 1e8])
-def test_the_single_objective_takes_scipys_steps(alpha):
-    objective = threshold_solver._single_objective(alpha, 0.25, 0.25)
-    for seed in threshold_solver._single_seeds(alpha, 0.5, 0.5, None):
-        _assert_same(*_run_both(objective, seed, _solver_options(objective, seed)))

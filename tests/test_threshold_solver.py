@@ -133,26 +133,34 @@ BEFORE_TWO_VARIABLES = {
 }
 
 
+# the same for the Nelder-Mead search over (log d, log r)
+BEFORE_SIMPLEX = {
+    (1.0, 0.5): (0.4971547025256406, 0.22323745655704874, 0.27391724596859207),
+    (1e12, 0.5): (1.6666699132152962e-07, 5.555571843059013e-20, 1.111112728909395e-07),
+    (1e4, 0.1467): (0.0008475222205185531, 2.8840945294321055e-08, 0.0005591127675753428),
+}
+
+
 @pytest.mark.parametrize("alpha,eta,expected", [
-    (1.0, 0.5, (0.4971547025256406, 0.22323745655704874, 0.27391724596859207,
-                {"displacement_amplitude": 3.024804771335406,
-                 "squeezing": 0.534975958874538,
+    (1.0, 0.5, (0.49715470319524, 0.22323745722664817, 0.27391724596859196,
+                {"displacement_amplitude": 3.02480477127897,
+                 "squeezing": 0.5349759633093439,
                  "relative_angle": 0.0})),
-    (1e12, 0.5, (1.6666699132152962e-07, 5.555571843059013e-20, 1.111112728909395e-07,
-                 {"displacement_amplitude": 0.0016329942080021624,
-                  "squeezing": 6.666664097280877e-07,
+    (1e12, 0.5, (1.666669901855396e-07, 5.555571729460019e-20, 1.111112728909394e-07,
+                 {"displacement_amplitude": 0.0016329942024369817,
+                  "squeezing": 6.666664051535029e-07,
                   "relative_angle": 0.0})),
-    (1e4, 0.1467, (0.0008475222205185531, 2.8840945294321055e-08, 0.0005591127675753428,
-                   {"displacement_amplitude": 0.21385814319291027,
-                    "squeezing": 0.010994092269923221,
+    (1e4, 0.1467, (0.0008475222166429924, 2.884094490676497e-08, 0.0005591127675753428,
+                   {"displacement_amplitude": 0.21385814271436887,
+                    "squeezing": 0.010994092194006709,
                     "relative_angle": 0.0})),
 ])
 def test_single_search_path_is_pinned(alpha, eta, expected):
     # F is flat at the optimum, so any change in the objective's float
     # values (2**-50 relative in p_error is enough) or in the search
-    # variables sends the cold Nelder-Mead search to another boundary
-    # point; these are the exact results of the float64 objective over
-    # (log d, log r), re-evaluated at 50 digits
+    # variables moves the cold search along the boundary; these are the
+    # exact results of the damped Newton search over the ridge
+    # coordinates (log d, w), re-evaluated at 50 digits
     opt = maximize_single_rate(alpha, eta)
     assert (opt.p_success, opt.p_error, opt.objective, opt.params) == expected
     # the earlier searches ended on the same boundary
@@ -160,6 +168,8 @@ def test_single_search_path_is_pinned(alpha, eta, expected):
         p_success, p_error = before[alpha, eta]
         assert opt.p_success == pytest.approx(p_success, rel=1e-7, abs=0.0)
         assert opt.p_error == pytest.approx(p_error, rel=1e-7, abs=0.0)
+    # and no lower: F is at least the simplex's
+    assert opt.objective >= BEFORE_SIMPLEX[alpha, eta][2] * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("eta,t_bs", [(0.5, 0.5), (0.5, 0.3), (0.1467, 0.5), (0.1467, 0.3)])
@@ -179,8 +189,9 @@ def test_no_angle_beats_the_squeezed_axis(eta, t_bs):
             p1, p_error = single_click_rates(state, k1, k2)
             return -(p1 - alpha * p_error)
 
-        seeds = [(*seed, theta)
-                 for seed in threshold_solver._single_seeds(alpha, eta, t_bs, None)
+        # the solver's cold seeds, from ridge coordinates (log d, w)
+        seeds = [(log_d, 2.0 * (log_d - np.log(2.0)) + w, theta)
+                 for log_d, w in threshold_solver._single_seeds(alpha, eta, t_bs)
                  for theta in (0.0, 0.8, np.pi / 2)]
         best = max(
             -minimize(objective, seed, method="Nelder-Mead",
@@ -257,10 +268,9 @@ def test_solver_error_paths(monkeypatch):
         maximize_single_rate(10, 1.5)
     with pytest.raises(DomainError):
         pair_threshold_curve(0.5, alpha_min=0.0)
-    monkeypatch.setattr(threshold_solver, "MAXITER", 3)
-    monkeypatch.setattr(threshold_solver, "WARM_MAXITER", 3)
-    monkeypatch.setattr(threshold_solver, "RESIDUAL_TOL", 1e-12)
-    with pytest.raises(SolverError) as exc:
+    # one Newton step from each cold seed leaves the decrement above the bound
+    monkeypatch.setattr(threshold_solver, "MAX_STEPS", 1)
+    with pytest.raises(SolverError, match="stalled") as exc:
         maximize_single_rate(1e6, 0.5)
     assert exc.value.best_point is not None
 
@@ -304,3 +314,118 @@ def test_threshold_cli_exports_curve_with_gap(flaky_pair_solver, tmp_path, capsy
     curve = read_curve_json(f"{out}.json")
     assert [g["alpha"] for g in curve.meta["gaps"]] == [flaky_pair_solver[1][0]]
     assert read_curve_csv(f"{out}.csv")["p_error"].size == 3
+
+
+@pytest.mark.parametrize("value", [np.nan, [1e-8, np.nan], np.inf])
+def test_curve_refuses_a_non_finite_error_rate(value):
+    curve = pair_threshold_curve(0.5, n_modes=1, alpha_min=1e2, alpha_max=1e8, n_points=7)
+    with pytest.raises(DomainError, match="p_error"):
+        curve.value(value)
+    if np.ndim(value) == 0:
+        with pytest.raises(DomainError, match="p_error"):
+            curve.slope(value)
+
+
+def test_newton_converges_on_a_quadratic():
+    def quadratic(x):
+        dx, dy = x[0] - 0.3, x[1] + 0.2
+        return 2.0 + 3.0 * dx * dx + dx * dy + 20.0 * dy * dy
+
+    res = threshold_solver.minimize(quadratic, (0.1, -0.1))
+    assert res.nit <= 2
+    assert res.residual <= threshold_solver.RESIDUAL_TOL
+    assert res.fun - 2.0 <= 2.0 * threshold_solver.RESIDUAL_TOL
+    one = threshold_solver.minimize(lambda x: 1.0 + (x[0] - 1.0) ** 2, (0.7,))
+    assert one.nit <= 2
+    assert one.fun - 1.0 <= threshold_solver.RESIDUAL_TOL
+
+
+def test_a_saddle_is_not_accepted():
+    def saddle(x):
+        return 1.0 + x[0] * x[0] - x[1] * x[1]
+
+    res = threshold_solver.minimize(saddle, (0.0, 0.0))
+    assert res.residual == np.inf
+    with pytest.raises(SolverError, match="residual inf") as exc:
+        threshold_solver._solve_point("pair", 1.0, saddle, None, [(0.0, 0.0)],
+                                      lambda x: ({"x": list(x)}, 0.5, 0.1))
+    assert exc.value.best_point == {"x": [0.0, 0.0]}
+
+
+def test_a_point_at_the_box_edge_is_accepted():
+    # f falls towards x = 0 and is WALL beyond it: the run is drawn to
+    # the wall and held there
+    def walled(x):
+        return threshold_solver.WALL if x[0] > 0.0 else (x[0] - 1.0) ** 2
+
+    res = threshold_solver.minimize(walled, (-2.0,))
+    assert -1e-15 <= res.x[0] <= 0.0
+    assert res.residual == 0.0
+    # continued flat past it instead, as the single-photon search's log r
+    res = threshold_solver.minimize(lambda x: (min(x[0], 0.0) - 1.0) ** 2, (-2.0,))
+    assert res.fun == 1.0 and res.residual <= threshold_solver.RESIDUAL_TOL
+    # below alpha = 1 the brightest pair ensemble in the box is best
+    opt = maximize_pair_rate(1e-2, 0.1467, n_modes=1)
+    assert opt.params["pair_brightness"][0] == pytest.approx(np.exp(-1e-9), rel=1e-14, abs=0.0)
+    assert opt.residual == 0.0
+
+
+XCHECK_ALPHAS = np.geomspace(1.0, 1e12, 13)
+
+
+def _nelder_mead_best(objective, seeds):
+    return max(
+        -minimize(objective, seed, method="Nelder-Mead",
+                  options=dict(xatol=1e-10, fatol=abs(objective(seed)) * 1e-13,
+                               maxiter=6000, maxfev=12000)).fun
+        for seed in seeds
+    )
+
+
+@pytest.mark.parametrize("eta,t_bs", [(1.0, 0.5), (1.0, 0.3), (0.5, 0.5), (0.5, 0.3),
+                                      (0.1467, 0.5), (0.1467, 0.3)])
+def test_single_newton_matches_nelder_mead(eta, t_bs):
+    # slow route: scipy's multistart simplex over (log d, log r) from
+    # the same cold seeds, with the box as a wall
+    k1, k2 = eta * t_bs, eta * (1.0 - t_bs)
+    for alpha in XCHECK_ALPHAS:
+        def objective(x):
+            if x[0] > 3.0 or x[1] > 3.0:
+                return 1e10
+            state = GaussianStateParams(float(np.exp(max(x[0], -690.0))),
+                                        float(np.exp(max(x[1], -690.0))))
+            p1, p_error = single_click_rates(state, k1, k2)
+            return -(p1 - alpha * p_error)
+
+        seeds = [(log_d, 2.0 * (log_d - np.log(2.0)) + w)
+                 for log_d, w in threshold_solver._single_seeds(alpha, eta, t_bs)]
+        newton = maximize_single_rate(alpha, eta, t_bs).objective
+        assert newton >= _nelder_mead_best(objective, seeds) * (1.0 - 1e-12), alpha
+
+
+@pytest.mark.parametrize("n_modes", [1, 4, 64])
+def test_pair_newton_matches_nelder_mead(n_modes):
+    for eta in (1.0, 0.5, 0.1467):
+        for alpha in XCHECK_ALPHAS:
+            def objective(x):
+                if x[0] > -1e-9:
+                    return 1e10
+                mus = [float(np.exp(max(x[0], -690.0)))] * n_modes
+                p_s, p_e = multimode_click_rates(mus, eta, 0.5, 0.5)
+                return -(p_s - alpha * p_e)
+
+            seeds = [np.array(seed) for seed in threshold_solver._pair_seeds(alpha, n_modes)]
+            newton = maximize_pair_rate(alpha, eta, n_modes=n_modes).objective
+            assert newton >= _nelder_mead_best(objective, seeds) * (1.0 - 1e-12), (eta, alpha)
+
+
+@pytest.mark.parametrize("mode", [["--mode", "pair", "--n", "4"], ["--mode", "single"]])
+def test_saturated_grid_solves_every_point(mode, tmp_path):
+    # below alpha = 1 the optimum sits at the edge of the search box or
+    # on a plateau where both rates round to 1
+    out = tmp_path / "saturated"
+    assert main(["threshold", *mode, "--eta", "0.5", "--alpha-min", "1e-3",
+                 "--alpha-max", "1", "--points", "25", "--out", str(out)]) == 0
+    curve = read_curve_json(f"{out}.json")
+    assert curve.alphas.size == 25
+    assert curve.meta["gaps"] == []
