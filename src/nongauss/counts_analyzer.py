@@ -295,16 +295,16 @@ def blinking_fit(delays, areas):
     def envelope(n, amp, tau, plateau):
         return amp * np.exp(-n / tau) + plateau
 
-    from scipy.optimize import curve_fit
+    # imported here: only peak-area analyses need it, and every other
+    # process would otherwise compile its source where no bytecode is cached
+    from .lsq import curve_fit
 
     try:
-        popt, pcov = curve_fit(
-            envelope, delays, areas, p0=p0,
-            bounds=([0.0, 1e-9, 0.0], [np.inf, np.inf, np.inf]),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError) as exc:
+        fit = curve_fit(envelope, delays, areas, p0, lower=[0.0, 1e-9, 0.0],
+                        max_nfev=20000)
+    except FitError as exc:
         raise FitError(f"peak-area fit did not converge: {exc}") from exc
+    popt, pcov = fit.popt, fit.pcov
     amp, tau, plateau = (float(v) for v in popt)
     if amp + plateau <= 0:
         raise FitError("degenerate fit: zero total envelope")

@@ -298,22 +298,41 @@ def simulate_single_photon_stream(double_emission_prob, detection, n_pulses, see
     return SimRun(n_pulses, seed, counts, clicks, double_emission_prob, detection)
 
 
+def _distinct(pulses):
+    # sorted, each pulse once: a repeated tag is the same click
+    pulses = np.sort(pulses)
+    first = np.ones(pulses.size, dtype=bool)
+    first[1:] = pulses[1:] != pulses[:-1]
+    return pulses[first]
+
+
 def peak_areas_from_tags(tags, detector_a="a1", detector_b="b1", max_delay=40):
     """Coincidence totals between two detectors versus pulse separation.
 
     area(n) counts pulses where detector_a clicked at pulse i and
     detector_b at pulse i + n, for n = 1 .. max_delay.  Feeding these
-    to the blinking fit recovers the emitter duty cycle.
+    to the blinking fit recovers the emitter duty cycle.  Each detector
+    counts a pulse once, however often it was tagged.
     """
     if max_delay < 1:
         raise DomainError(f"max_delay must be >= 1, got {max_delay}")
-    pulses_a = tags["pulse_index"][tags["detector"] == detector_a]
-    pulses_b = tags["pulse_index"][tags["detector"] == detector_b]
+    pulses_a = _distinct(tags["pulse_index"][tags["detector"] == detector_a])
+    pulses_b = _distinct(tags["pulse_index"][tags["detector"] == detector_b])
     if pulses_a.size == 0 or pulses_b.size == 0:
         raise DomainError("no tags recorded for the requested detectors")
-    delays = np.arange(1, max_delay + 1)
-    areas = np.array([
-        np.intersect1d(pulses_a + n, pulses_b, assume_unique=True).size
-        for n in delays
-    ], dtype=float)
-    return delays, areas
+    # the window of b-pulses in (i, i + max_delay] of each a-pulse i; near
+    # the top of int64 the window runs to the last b-pulse
+    top = np.minimum(pulses_a, np.iinfo(np.int64).max - max_delay) + max_delay
+    first = np.searchsorted(pulses_b, pulses_a, side="right")
+    left = np.searchsorted(pulses_b, top, side="right") - first
+    counts = np.zeros(max_delay + 1, dtype=np.int64)
+    # the k-th b-pulse of every window that holds more than k of them
+    while True:
+        keep = left > 0
+        if not keep.any():
+            break
+        pulses_a, first, left = pulses_a[keep], first[keep], left[keep]
+        counts += np.bincount(pulses_b[first] - pulses_a, minlength=max_delay + 1)
+        first += 1
+        left -= 1
+    return np.arange(1, max_delay + 1), counts[1:].astype(float)

@@ -298,8 +298,10 @@ def maximize_single_rate(alpha, eta, t_bs=0.5, warm_start=None):
         params = _single_state(x)
         with mpmath.workdps(MP_DPS):
             # kappas as mpf, so that no product is rounded to a double
-            # and the third transmission is exactly k1 + k2
-            kappas = (mpmath.mpf(k1), mpmath.mpf(k2), mpmath.mpf(k1) + k2)
+            # and the third transmission is exactly k1 + k2, capped at 1:
+            # at eta 1 the two rounded products can sum to just above it
+            k12 = min(mpmath.mpf(k1) + k2, mpmath.mpf(1))
+            kappas = (mpmath.mpf(k1), mpmath.mpf(k2), k12)
             q1, q2, q12 = no_click_after_loss(params, kappas, mathmod=mpmath)
             p_success, p_error = float(1 - q1), float(1 - q1 - q2 + q12)
         return dataclasses.asdict(params), p_success, p_error

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nongauss.counts_analyzer import blinking_fit, estimate_click_probabilities
 from nongauss.errors import DomainError
@@ -156,3 +158,35 @@ def test_peak_areas_requires_tags():
     }
     with pytest.raises(DomainError):
         peak_areas_from_tags(tags, max_delay=10)
+
+
+def _tags(a, b):
+    pulses = list(a) + list(b)
+    return {
+        "pulse_index": np.array(pulses, dtype=np.int64),
+        "detector": np.array(["a1"] * len(a) + ["b1"] * len(b)),
+        "time_ps": np.zeros(len(pulses)),
+    }
+
+
+def test_a_repeated_tag_is_one_click():
+    # pulse 10 tagged twice on a1: still one a-click, so only delay 2 pairs up
+    delays, areas = peak_areas_from_tags(_tags([10, 10], [12]), max_delay=5)
+    assert delays.tolist() == [1, 2, 3, 4, 5]
+    assert areas.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+TOP = np.iinfo(np.int64).max
+PULSES = st.lists(st.integers(0, 60) | st.integers(TOP - 60, TOP)
+                  | st.integers(-TOP - 1, -TOP + 60), min_size=1, max_size=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(PULSES, PULSES, st.integers(1, 12))
+def test_peak_areas_count_each_pair_of_clicked_pulses(a, b, max_delay):
+    # unsorted, repeated, and at both ends of the int64 range
+    delays, areas = peak_areas_from_tags(_tags(a, b), max_delay=max_delay)
+    expected = [sum(1 for i in set(a) for j in set(b) if j - i == n)
+                for n in range(1, max_delay + 1)]
+    assert delays.tolist() == list(range(1, max_delay + 1))
+    assert areas.tolist() == expected

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -429,3 +431,17 @@ def test_saturated_grid_solves_every_point(mode, tmp_path):
     curve = read_curve_json(f"{out}.json")
     assert curve.alphas.size == 25
     assert curve.meta["gaps"] == []
+
+
+def test_lossless_unbalanced_single_point_solves(tmp_path):
+    # at eta 1 the rounded transmissions 0.2 and 0.8 sum to just above 1;
+    # the 50-digit re-evaluation caps the both-detector transmission at 1
+    k1, k2 = 1.0 * 0.2, 1.0 * (1.0 - 0.2)
+    assert Fraction(k1) + Fraction(k2) > 1
+    opt = maximize_single_rate(10, 1.0, 0.2)
+    assert 0.0 < opt.p_error < opt.p_success < 1.0
+    out = tmp_path / "lossless"
+    assert main(["threshold", "--mode", "single", "--eta", "1", "--tbs", "0.2",
+                 "--points", "5", "--out", str(out)]) == 0
+    curve = read_curve_json(f"{out}.json")
+    assert curve.alphas.size == 5 and curve.meta["gaps"] == []
