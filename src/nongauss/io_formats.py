@@ -106,20 +106,27 @@ def _load_json(path, expected_schema):
 def _field(doc, path, name, kind):
     if name not in doc:
         raise FormatError(f"{path}: missing field {name!r}")
-    value = doc[name]
+    return _typed(path, name, doc[name], kind)
+
+
+def _typed(path, name, value, kind):
     if not isinstance(value, kind) or isinstance(value, bool):
         wanted = (kind.__name__ if isinstance(kind, type)
                   else "/".join(k.__name__ for k in kind))
         raise FormatError(
             f"{path}: field {name!r}: expected {wanted}, got {type(value).__name__}"
         )
-    return _finite(path, name, value)
-
-
-def _finite(path, name, value):
     # json.load accepts the non-standard literals Infinity and NaN
     if isinstance(value, float) and not math.isfinite(value):
         raise FormatError(f"{path}: field {name!r}: must be finite")
+    return value
+
+
+def _object(doc, path, name):
+    """The JSON object under name, or None where it is absent or null."""
+    value = doc.get(name)
+    if value is not None and not isinstance(value, dict):
+        raise FormatError(f"{path}: field {name!r}: expected object")
     return value
 
 
@@ -149,26 +156,19 @@ def read_counts_json(path):
     for name in ("duration_s", "generation_rate_hz", "success_count",
                  "error_count_a"):
         fields[name] = _field(doc, path, name, (int, float))
-    error_b = _finite(path, "error_count_b", doc.get("error_count_b"))
-    rate_sigma = _finite(path, "generation_rate_sigma_hz",
-                         doc.get("generation_rate_sigma_hz", 0.0))
-    singles = doc.get("singles")
-    if singles is not None and not isinstance(singles, dict):
-        raise FormatError(f"{path}: field 'singles': expected object")
+    error_b = doc.get("error_count_b")
+    if error_b is not None:
+        error_b = _typed(path, "error_count_b", error_b, (int, float))
+    rate_sigma = _typed(path, "generation_rate_sigma_hz",
+                        doc.get("generation_rate_sigma_hz", 0.0), (int, float))
+    singles = _object(doc, path, "singles")
     for name, value in (singles or {}).items():
-        _finite(path, f"singles.{name}", value)
+        _typed(path, f"singles.{name}", value, (int, float))
+    meta = _object(doc, path, "meta") or {}
     try:
-        return CountSummary(
-            kind=kind,
-            duration_s=fields["duration_s"],
-            generation_rate_hz=fields["generation_rate_hz"],
-            success_count=fields["success_count"],
-            error_count_a=fields["error_count_a"],
-            error_count_b=error_b,
-            generation_rate_sigma_hz=rate_sigma,
-            singles=singles,
-            meta=doc.get("meta") or {},
-        )
+        return CountSummary(kind=kind, **fields, error_count_b=error_b,
+                            generation_rate_sigma_hz=rate_sigma, singles=singles,
+                            meta=meta)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -208,34 +208,53 @@ def _float_array(path, doc, name):
 
 def read_curve_json(path):
     doc = _load_json(path, "nongauss-threshold-curve")
+    fields = {
+        "kind": _field(doc, path, "kind", str),
+        "eta": _field(doc, path, "eta", (int, float)),
+        "t_bs": _field(doc, path, "t_bs", (int, float)),
+        "n_modes": _field(doc, path, "n_modes", int),
+    }
+    points = {name: _float_array(path, doc, name)
+              for name in ("alphas", "p_error", "p_success", "residuals")}
+    points["params"] = tuple(_field(doc, path, "params", list))
+    meta = _object(doc, path, "meta") or {}
+    # one entry per point in every array
+    short = min(points, key=lambda name: len(points[name]))
+    long = max(points, key=lambda name: len(points[name]))
+    if len(points[short]) < len(points[long]):
+        raise FormatError(f"{path}: field {short!r}: {len(points[short])} entries, "
+                          f"but {long!r} has {len(points[long])}")
     try:
-        return ThresholdCurve(
-            kind=_field(doc, path, "kind", str),
-            eta=_field(doc, path, "eta", (int, float)),
-            t_bs=_field(doc, path, "t_bs", (int, float)),
-            n_modes=_field(doc, path, "n_modes", int),
-            alphas=_float_array(path, doc, "alphas"),
-            p_error=_float_array(path, doc, "p_error"),
-            p_success=_float_array(path, doc, "p_success"),
-            residuals=_float_array(path, doc, "residuals"),
-            params=tuple(_field(doc, path, "params", list)),
-            meta=doc.get("meta") or {},
-        )
+        return ThresholdCurve(**fields, **points, meta=meta)
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_curve_csv(path, curve):
+CURVE_CSV_HEADER = ["p_error", "p_success_threshold", "alpha", "residual"]
+SCAN_CSV_HEADER = ["attenuation", "p_e", "sigma_pe", "p_s", "sigma_ps"]
+PEAK_AREAS_CSV_HEADER = ["delay_index", "area"]
+
+
+def _write_csv(path, comment, header, rows):
+    """A '#' comment line, the header, then one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# nongauss-threshold-curve-csv v{SCHEMA_VERSION} "
-                 f"kind={curve.kind} eta={curve.eta!r} t_bs={curve.t_bs!r} "
-                 f"n_modes={curve.n_modes}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["p_error", "p_success_threshold", "alpha", "residual"])
-        for pe, ps, alpha, res in zip(curve.p_error, curve.p_success,
-                                      curve.alphas, curve.residuals):
-            writer.writerow([repr(float(pe)), repr(float(ps)),
-                             repr(float(alpha)), repr(float(res))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _float_rows(*columns):
+    """One row of shortest-roundtrip floats per index of the columns."""
+    return ([repr(float(v)) for v in row] for row in zip(*columns))
+
+
+def write_curve_csv(path, curve):
+    _write_csv(path, f"nongauss-threshold-curve-csv v{SCHEMA_VERSION} "
+               f"kind={curve.kind} eta={curve.eta!r} t_bs={curve.t_bs!r} "
+               f"n_modes={curve.n_modes}", CURVE_CSV_HEADER,
+               _float_rows(curve.p_error, curve.p_success, curve.alphas,
+                           curve.residuals))
 
 
 def _read_csv_columns(path, expected_header):
@@ -267,34 +286,20 @@ def _read_csv_columns(path, expected_header):
 
 def read_curve_csv(path):
     """Columns of a curve CSV as arrays (the JSON form is lossless)."""
-    pe, ps, alpha, res = _read_csv_columns(
-        path, ["p_error", "p_success_threshold", "alpha", "residual"]
-    )
-    return {"p_error": pe, "p_success_threshold": ps, "alpha": alpha,
-            "residual": res}
+    return dict(zip(CURVE_CSV_HEADER, _read_csv_columns(path, CURVE_CSV_HEADER)))
 
 
 # ------------------------------------------------------------------ scan
 
 def write_scan_csv(path, scan):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# nongauss-attenuation-scan-csv v{SCHEMA_VERSION} "
-                 "mode=deterministic\n")
-        writer = csv.writer(fh)
-        writer.writerow(["attenuation", "p_e", "sigma_pe", "p_s", "sigma_ps"])
-        for a, pe, spe, ps, sps in zip(scan.attenuations, scan.p_error,
-                                       scan.sigma_p_error, scan.p_success,
-                                       scan.sigma_p_success):
-            writer.writerow([repr(float(a)), repr(float(pe)), repr(float(spe)),
-                             repr(float(ps)), repr(float(sps))])
+    _write_csv(path, f"nongauss-attenuation-scan-csv v{SCHEMA_VERSION} "
+               "mode=deterministic", SCAN_CSV_HEADER,
+               _float_rows(scan.attenuations, scan.p_error, scan.sigma_p_error,
+                           scan.p_success, scan.sigma_p_success))
 
 
 def read_scan_csv(path):
-    a, pe, spe, ps, sps = _read_csv_columns(
-        path, ["attenuation", "p_e", "sigma_pe", "p_s", "sigma_ps"]
-    )
-    return {"attenuation": a, "p_e": pe, "sigma_pe": spe, "p_s": ps,
-            "sigma_ps": sps}
+    return dict(zip(SCAN_CSV_HEADER, _read_csv_columns(path, SCAN_CSV_HEADER)))
 
 
 # ------------------------------------------------------------ peak areas
@@ -304,16 +309,13 @@ def write_peak_areas_csv(path, delays, areas):
     areas = np.asarray(areas, dtype=float)
     if delays.shape != areas.shape:
         raise FormatError("delays and areas must have matching shapes")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# nongauss-peak-areas-csv v{SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["delay_index", "area"])
-        for n, area in zip(delays, areas):
-            writer.writerow([int(n), repr(float(area))])
+    _write_csv(path, f"nongauss-peak-areas-csv v{SCHEMA_VERSION}",
+               PEAK_AREAS_CSV_HEADER,
+               ([int(n), repr(float(area))] for n, area in zip(delays, areas)))
 
 
 def read_peak_areas_csv(path):
-    delays, areas = _read_csv_columns(path, ["delay_index", "area"])
+    delays, areas = _read_csv_columns(path, PEAK_AREAS_CSV_HEADER)
     return delays.astype(int), areas
 
 

@@ -17,8 +17,13 @@ It is ported statement for statement: it evaluates the model at the same
 points, in the same order, and returns the same floats.  Branches this
 path never takes (other methods, losses and trust-region solvers,
 ``x_scale='jac'``, callbacks, sparse Jacobians) are left out, and the
-factors of ``x_scale`` 1, which multiply exactly, are dropped.  Where
-scipy raises ``ValueError`` or ``RuntimeError``, this raises ``FitError``.
+factors of ``x_scale`` 1, which multiply exactly, are dropped.  So is
+the upper bound: with ``ub`` = +inf every term that reads it is constant
+(no step meets it, and its masks are empty), and what is left computes
+the same floats.  scipy's termination statuses 1-4 become one
+``converged`` flag, since ``curve_fit`` only tells status 0 apart.
+Where scipy raises ``ValueError`` or ``RuntimeError``, this raises
+``FitError``.
 """
 
 import warnings
@@ -76,21 +81,20 @@ def curve_fit(f, xdata, ydata, p0, lower, max_nfev):
         raise FitError(str(exc)) from exc
     x0 = np.atleast_1d(p0).astype(float)
     lb = np.asarray(lower, dtype=float)
-    ub = np.full_like(lb, np.inf)
-    if not _in_bounds(x0, lb, ub):
+    if not np.all(x0 >= lb):
         raise FitError("Initial guess is outside of provided bounds")
-    x0 = _strictly_feasible(x0, lb, ub, rstep=1e-10)
+    x0 = _strictly_feasible(x0, lb, rstep=1e-10)
 
     def fun(params):
         return np.atleast_1d(f(xdata, *params) - ydata)
 
     f0 = fun(x0)
-    J0 = _jacobian(fun, x0, f0, lb, ub)
+    J0 = _jacobian(fun, x0, f0, lb)
     if not np.all(np.isfinite(f0)):
         raise FitError("Residuals are not finite in the initial point.")
 
-    x, cost, J, nfev, status = _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev)
-    if status == 0:
+    x, cost, J, nfev, converged = _trf_bounds(fun, x0, f0, J0, lb, max_nfev)
+    if not converged:
         raise FitError("Optimal parameters not found: The maximum number "
                        "of function evaluations is exceeded.")
 
@@ -112,24 +116,14 @@ def curve_fit(f, xdata, ydata, p0, lower, max_nfev):
 
 # ------------------------------------------------------ finite differences
 
-def _jacobian(fun, x0, f0, lb, ub):
-    """approx_derivative(fun, x0, '2-point', f0=f0, bounds=(lb, ub))."""
+def _jacobian(fun, x0, f0, lb):
+    """approx_derivative(fun, x0, '2-point', f0=f0, bounds=(lb, inf))."""
     sign_x0 = (x0 >= 0).astype(float) * 2 - 1
     h = EPS**0.5 * sign_x0 * np.maximum(1.0, np.abs(x0))
 
-    # _adjust_scheme_to_bounds, one-sided scheme, one step
-    h_adjusted = h.copy()
-    lower_dist = x0 - lb
-    upper_dist = ub - x0
-    x = x0 + h
-    violated = (x < lb) | (x > ub)
-    fitting = np.abs(h) <= np.maximum(lower_dist, upper_dist)
-    h_adjusted[violated & fitting] *= -1
-    forward = (upper_dist >= lower_dist) & ~fitting
-    h_adjusted[forward] = upper_dist[forward]
-    backward = (upper_dist < lower_dist) & ~fitting
-    h_adjusted[backward] = -lower_dist[backward]
-    h = h_adjusted
+    # _adjust_scheme_to_bounds, one-sided scheme, one step: with no upper
+    # bound every step fits, so a step below lb is flipped
+    h = np.where(x0 + h < lb, -h, h)
 
     # _dense_difference
     J_transposed = np.empty((x0.size, f0.size))
@@ -143,8 +137,8 @@ def _jacobian(fun, x0, f0, lb, ub):
 
 # ----------------------------------------------------------- trf_bounds
 
-def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
-    """(x, cost, J, nfev, status) at the end of scipy's trf_bounds."""
+def _trf_bounds(fun, x0, f0, J0, lb, max_nfev):
+    """(x, cost, J, nfev, converged) at the end of scipy's trf_bounds."""
     x = x0.copy()
     f = f0
     nfev = 1
@@ -153,7 +147,7 @@ def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
 
-    v, dv = _cl_scaling_vector(x, g, lb, ub)
+    v, dv = _cl_scaling_vector(x, g, lb)
     Delta = norm(x0 / v**0.5)
     if Delta == 0:
         Delta = 1.0
@@ -161,14 +155,14 @@ def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
     f_augmented = np.zeros(m + n)
     J_augmented = np.empty((m + n, n))
     alpha = 0.0  # "Levenberg-Marquardt" parameter
-    termination_status = None
+    converged = False
 
     while True:
-        v, dv = _cl_scaling_vector(x, g, lb, ub)
+        v, dv = _cl_scaling_vector(x, g, lb)
         g_norm = norm(g * v, ord=np.inf)
         if g_norm < TOL:
-            termination_status = 1
-        if termination_status is not None or nfev == max_nfev:
+            converged = True
+        if converged or nfev == max_nfev:
             break
 
         d = v**0.5
@@ -191,9 +185,9 @@ def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
             p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
             p = d * p_h  # the trust-region solution in the original space
             step, step_h, predicted_reduction = _select_step(
-                x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta)
+                x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta)
 
-            x_new = _strictly_feasible(x + step, lb, ub, rstep=0)
+            x_new = _strictly_feasible(x + step, lb, rstep=0)
             f_new = fun(x_new)
             nfev += 1
 
@@ -209,9 +203,9 @@ def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
                 step_h_norm, step_h_norm > 0.95 * Delta)
 
             step_norm = norm(step)
-            termination_status = _check_termination(
+            converged = _check_termination(
                 actual_reduction, cost, step_norm, norm(x), ratio)
-            if termination_status is not None:
+            if converged:
                 break
 
             alpha *= Delta / Delta_new
@@ -221,21 +215,19 @@ def _trf_bounds(fun, x0, f0, J0, lb, ub, max_nfev):
             x = x_new
             f = f_new
             cost = cost_new
-            J = _jacobian(fun, x, f, lb, ub)
+            J = _jacobian(fun, x, f, lb)
             g = J.T.dot(f)
 
-    if termination_status is None:
-        termination_status = 0
-    return x, cost, J, nfev, termination_status
+    return x, cost, J, nfev, converged
 
 
-def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, theta):
     """The best of the trust-region, reflected and Cauchy steps."""
-    if _in_bounds(x + p, lb, ub):
+    if np.all(x + p >= lb):
         p_value = _evaluate_quadratic(J_h, g_h, p_h, diag_h)
         return p, p_h, -p_value
 
-    p_stride, hits = _step_size_to_bound(x, p, lb, ub)
+    p_stride, hits = _step_size_to_bound(x, p, lb)
 
     # the reflected direction
     r_h = np.copy(p_h)
@@ -250,7 +242,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     # the reflected direction crosses the feasible region's or the trust
     # region's boundary first
     _, to_tr = _intersect_trust_region(p_h, r_h, Delta)
-    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb, ub)
+    to_bound, _ = _step_size_to_bound(x_on_bound, r, lb)
 
     r_stride = min(to_bound, to_tr)
     if r_stride > 0:
@@ -281,7 +273,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     ag = d * ag_h
 
     to_tr = Delta / norm(ag_h)
-    to_bound, _ = _step_size_to_bound(x, ag, lb, ub)
+    to_bound, _ = _step_size_to_bound(x, ag, lb)
     if to_bound < to_tr:
         ag_stride = theta * to_bound
     else:
@@ -334,7 +326,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, initial_alpha,
     else:
         alpha_lower = 0.0
 
-    if initial_alpha is None or not full_rank and initial_alpha == 0:
+    if not full_rank and initial_alpha == 0:
         alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
     else:
         alpha = initial_alpha
@@ -436,66 +428,37 @@ def _evaluate_quadratic(J, g, s, diag):
     return 0.5 * q + l
 
 
-def _in_bounds(x, lb, ub):
-    return np.all((x >= lb) & (x <= ub))
+def _step_size_to_bound(x, s, lb):
+    """The step along s to the nearest bound, and which bounds it hits.
 
-
-def _step_size_to_bound(x, s, lb, ub):
-    """The step along s to the nearest bound, and which bounds it hits."""
-    non_zero = np.nonzero(s)
-    s_non_zero = s[non_zero]
-    steps = np.empty_like(x)
-    steps.fill(np.inf)
+    Only a component with s < 0 can meet its bound; every other one has
+    scipy's max((lb - x)/s, (inf - x)/s) = inf.
+    """
+    steps = np.full_like(x, np.inf)
+    falling = s < 0
     with np.errstate(over='ignore'):
-        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
-                                     (ub - x)[non_zero] / s_non_zero)
+        steps[falling] = (lb - x)[falling] / s[falling]
     min_step = np.min(steps)
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 
 
-def _strictly_feasible(x, lb, ub, rstep):
+def _strictly_feasible(x, lb, rstep):
     """make_strictly_feasible, with find_active_constraints inlined."""
     x_new = x.copy()
-
-    active = np.zeros_like(x, dtype=int)
     if rstep == 0:
-        active[x <= lb] = -1
-        active[x >= ub] = 1
+        active = x <= lb
+        x_new[active] = np.nextafter(lb[active], np.inf)
     else:
-        lower_dist = x - lb
-        upper_dist = ub - x
-        lower_threshold = rstep * np.maximum(1, np.abs(lb))
-        upper_threshold = rstep * np.maximum(1, np.abs(ub))
-        active[np.isfinite(lb)
-               & (lower_dist <= np.minimum(upper_dist, lower_threshold))] = -1
-        active[np.isfinite(ub)
-               & (upper_dist <= np.minimum(lower_dist, upper_threshold))] = 1
-    lower_mask = np.equal(active, -1)
-    upper_mask = np.equal(active, 1)
-
-    if rstep == 0:
-        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
-        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
-    else:
-        x_new[lower_mask] = (lb[lower_mask] +
-                             rstep * np.maximum(1, np.abs(lb[lower_mask])))
-        x_new[upper_mask] = (ub[upper_mask] -
-                             rstep * np.maximum(1, np.abs(ub[upper_mask])))
-
-    tight_bounds = (x_new < lb) | (x_new > ub)
-    x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])
+        threshold = rstep * np.maximum(1, np.abs(lb))
+        active = np.isfinite(lb) & (x - lb <= threshold)
+        x_new[active] = lb[active] + threshold[active]
     return x_new
 
 
-def _cl_scaling_vector(x, g, lb, ub):
+def _cl_scaling_vector(x, g, lb):
     """Coleman-Li scaling v and its derivative dv."""
     v = np.ones_like(x)
     dv = np.zeros_like(x)
-
-    mask = (g < 0) & np.isfinite(ub)
-    v[mask] = ub[mask] - x[mask]
-    dv[mask] = -1
-
     mask = (g > 0) & np.isfinite(lb)
     v[mask] = x[mask] - lb[mask]
     dv[mask] = 1
@@ -503,14 +466,5 @@ def _cl_scaling_vector(x, g, lb, ub):
 
 
 def _check_termination(dF, F, dx_norm, x_norm, ratio):
-    ftol_satisfied = dF < TOL * F and ratio > 0.25
-    xtol_satisfied = dx_norm < TOL * (TOL + x_norm)
-
-    if ftol_satisfied and xtol_satisfied:
-        return 4
-    elif ftol_satisfied:
-        return 2
-    elif xtol_satisfied:
-        return 3
-    else:
-        return None
+    """Whether the ftol or the xtol test is met."""
+    return (dF < TOL * F and ratio > 0.25) or dx_norm < TOL * (TOL + x_norm)

@@ -13,13 +13,13 @@ uses d1 (transmitted) and d2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .counts_analyzer import CountSummary
 from .errors import DomainError
-from .photon_statistics.types import DetectionConfig, ModeEnsemble
+from .photon_statistics.types import ModeEnsemble
 
 BLOCK = 1 << 20  # pulses per substream block; part of the output contract
 
@@ -73,16 +73,11 @@ class QdSourceConfig:
 
 @dataclass(frozen=True)
 class SimRun:
-    """Result of one simulation: counts plus raw click bookkeeping."""
+    """Result of one simulation: the counts (with the clicks per detector
+    in counts.singles) and, where collected, the tag stream."""
 
-    n_pulses: int
-    seed: int
     counts: CountSummary
-    clicks: dict
-    source_config: object
-    detection: DetectionConfig
     tags: dict = None
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 def _blocks(n_pulses):
@@ -203,10 +198,10 @@ def simulate_qd_pairs(source, detection, n_pulses, seed, collect_tags=False):
         success_count=c_s,
         error_count_a=c_ea,
         error_count_b=c_eb,
-        singles=dict(clicks),
+        singles=clicks,
         meta={"n_pulses": n_pulses, "seed": seed, "source": "qd_cascade"},
     )
-    return SimRun(n_pulses, seed, counts, clicks, source, detection, tags=tags)
+    return SimRun(counts, tags)
 
 
 def _detect_arm(rng, photons, eta, t_bs):
@@ -257,10 +252,10 @@ def simulate_multimode_tmsv(ensemble, detection, n_pulses, seed, rep_rate_hz=80e
         success_count=c_s,
         error_count_a=c_ea,
         error_count_b=c_eb,
-        singles=dict(clicks),
+        singles=clicks,
         meta={"n_pulses": n_pulses, "seed": seed, "source": "tmsv"},
     )
-    return SimRun(n_pulses, seed, counts, clicks, ensemble, detection)
+    return SimRun(counts)
 
 
 def simulate_single_photon_stream(double_emission_prob, detection, n_pulses, seed,
@@ -292,10 +287,10 @@ def simulate_single_photon_stream(double_emission_prob, detection, n_pulses, see
         generation_rate_hz=rep_rate_hz,
         success_count=c_success,
         error_count_a=c_error,
-        singles=dict(clicks),
+        singles=clicks,
         meta={"n_pulses": n_pulses, "seed": seed, "source": "single_stream"},
     )
-    return SimRun(n_pulses, seed, counts, clicks, double_emission_prob, detection)
+    return SimRun(counts)
 
 
 def _distinct(pulses):

@@ -231,6 +231,22 @@ def test_analyze_malformed_counts(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("meta", [], "field 'meta': expected object"),
+    ("error_count_b", "430", "field 'error_count_b': expected int/float, got str"),
+    ("singles", {"a1": "1000"}, "field 'singles.a1': expected int/float, got str"),
+])
+def test_analyze_names_a_bad_counts_field(tmp_path, pair_file, capsys, field, value,
+                                          named):
+    doc = json.loads(pair_file.read_text())
+    doc[field] = value
+    pair_file.write_text(json.dumps(doc))
+    assert main(["analyze", "--counts", str(pair_file), "--out",
+                 str(tmp_path / "x")]) == 1
+    assert f"{pair_file}: {named}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_analyze_criterion_kind_mismatch(tmp_path, pair_file, capsys):
     assert main(["analyze", "--counts", str(pair_file), "--criterion",
                  "simple-bs", "--out", str(tmp_path / "x")]) == 1

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -76,8 +77,6 @@ def test_counts_bad_json_reports_line(tmp_path):
 def test_counts_missing_field_named(tmp_path):
     path = tmp_path / "counts.json"
     write_counts_json(path, PAIR_COUNTS)
-    import json
-
     doc = json.loads(path.read_text())
     del doc["success_count"]
     path.write_text(json.dumps(doc))
@@ -121,6 +120,20 @@ def test_curve_json_roundtrip(tmp_path):
     assert np.isnan(back.alphas[0])
     assert list(back.params) == list(curve.params)
     assert back.meta == {"note": "fixture"}
+
+
+@pytest.mark.parametrize("field", ["alphas", "p_error", "p_success", "residuals",
+                                   "params"])
+def test_curve_json_refuses_an_array_one_entry_short(tmp_path, field):
+    path = tmp_path / "curve.json"
+    write_curve_json(path, _curve())
+    doc = json.loads(path.read_text())
+    doc[field] = doc[field][:-1]
+    path.write_text(json.dumps(doc))
+    longest = "p_error" if field == "alphas" else "alphas"
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: field {field!r}: 2 entries, but {longest!r} has 3")):
+        read_curve_json(path)
 
 
 def test_curve_csv_roundtrip(tmp_path):

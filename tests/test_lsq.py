@@ -47,14 +47,14 @@ def _recorded():
     return model, points
 
 
-def _run_both(delays, areas, p0, max_nfev=MAX_NFEV):
+def _run_both(delays, areas, p0, max_nfev=MAX_NFEV, lower=LOWER):
     """((popt, pcov, nfev) or exception type, points): the port, then scipy."""
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model, points = _recorded()
         try:
-            fit = lsq.curve_fit(model, delays, areas, p0, LOWER, max_nfev)
+            fit = lsq.curve_fit(model, delays, areas, p0, lower, max_nfev)
             outcome = (fit.popt, fit.pcov, fit.nfev)
         except FitError:
             outcome = FitError
@@ -62,7 +62,7 @@ def _run_both(delays, areas, p0, max_nfev=MAX_NFEV):
         model, points = _recorded()
         try:
             popt, pcov, info, _, _ = optimize.curve_fit(
-                model, delays, areas, p0=p0, bounds=(LOWER, np.inf),
+                model, delays, areas, p0=p0, bounds=(lower, np.inf),
                 maxfev=max_nfev, full_output=True)
             outcome = (popt, pcov, info["nfev"])
         except (RuntimeError, ValueError):
@@ -122,6 +122,27 @@ def _case(n_delays, amp, tau, plateau, noise, seed, start):
 def test_the_port_takes_scipys_steps(series):
     delays, areas, p0 = _case(**series)
     _assert_same(*_run_both(delays, areas, p0))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 0.95),
+       st.integers(0, 2**32 - 1))
+def test_a_step_below_a_negative_bound_is_flipped(amp_exp, plateau_exp, gap, seed):
+    # blinking_fit's bounds are never negative, so only here does the
+    # forward difference from a negative start step down across the bound
+    lower = [-(10.0**amp_exp), 1e-9, -(10.0**plateau_exp)]
+    delays = np.arange(1.0, 31.0)
+    mean = envelope(delays, 0.5 * lower[0], 5.0, 0.5 * lower[2])
+    areas = mean + np.random.default_rng(seed).normal(0.0, 0.1 * np.abs(mean).mean(), 30)
+    offset = gap * np.finfo(float).eps**0.5
+    p0 = [lower[0] + offset * max(1.0, -lower[0]), 5.0,
+          lower[2] + offset * max(1.0, -lower[2])]
+    port, scipy = _run_both(delays, areas, p0, lower=lower)
+    _assert_same(port, scipy)
+    # the start, then the amplitude's difference point: a negative start
+    # steps down by default, and here that step was turned up
+    start, shifted = port[1][:2]
+    assert shifted[0] > start[0]
 
 
 def test_areas_rising_with_delay_drive_the_amplitude_onto_its_bound():

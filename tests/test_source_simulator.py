@@ -36,7 +36,7 @@ def test_tmsv_deterministic_across_block_boundary():
     run_a = simulate_multimode_tmsv(ens, det, n, seed=11)
     run_b = simulate_multimode_tmsv(ens, det, n, seed=11)
     assert run_a.counts == run_b.counts
-    assert run_a.clicks == run_b.clicks
+    assert run_a.counts.singles == run_b.counts.singles
     run_c = simulate_multimode_tmsv(ens, det, n, seed=12)
     assert run_c.counts.success_count != run_a.counts.success_count
 
@@ -58,11 +58,12 @@ def test_tmsv_matches_analytic_probabilities():
 
 def test_tmsv_counts_normalization():
     det = DetectionConfig(eta=0.5, t_bs=0.5)
-    run = simulate_multimode_tmsv(ModeEnsemble.uniform(0.2, 1), det, 50_000, seed=3)
+    n = 50_000
+    run = simulate_multimode_tmsv(ModeEnsemble.uniform(0.2, 1), det, n, seed=3)
     # generation rate x duration = pulse count, so estimates are per pulse
-    assert run.counts.trials == pytest.approx(run.n_pulses, abs=0.0)
+    assert run.counts.trials == pytest.approx(n, abs=0.0)
     p_success, _ = estimate_click_probabilities(run.counts)
-    assert p_success.value == pytest.approx(run.counts.success_count / run.n_pulses, abs=0.0)
+    assert p_success.value == pytest.approx(run.counts.success_count / n, abs=0.0)
 
 
 def test_single_stream_matches_splitting_statistics():
@@ -94,7 +95,7 @@ def test_qd_ideal_source_is_perfect():
     assert run.counts.error_count_b == 0
     p = run.counts.success_count / n
     assert abs(p - 0.25) < 4 * np.sqrt(0.25 * 0.75 / n)
-    assert run.clicks["a1"] + run.clicks["a2"] == n
+    assert run.counts.singles["a1"] + run.counts.singles["a2"] == n
 
 
 def test_qd_deterministic():
@@ -113,7 +114,7 @@ def test_qd_window_prunes_coincidences():
     tight = simulate_qd_pairs(src_tight, det, 200_000, seed=2)
     assert tight.counts.success_count < 0.2 * wide.counts.success_count
     # clicks are window independent
-    assert tight.clicks == wide.clicks
+    assert tight.counts.singles == wide.counts.singles
 
 
 def test_qd_blinking_scales_success_rate():
@@ -138,7 +139,7 @@ def test_tag_stream_schema_and_order():
     assert set(np.unique(tags["detector"])) <= {"a1", "a2", "b1", "b2"}
     assert np.all(tags["time_ps"] > 0)
     n_b1 = int(np.sum(tags["detector"] == "b1"))
-    assert n_b1 == run.clicks["b1"]
+    assert n_b1 == run.counts.singles["b1"]
 
 
 def test_blinking_roundtrip_from_tags():
