@@ -476,8 +476,18 @@ def _status_from_z(z):
     return "fail"
 
 
+def _bound_row(name, worst, bound, note):
+    return {"name": name, "status": "pass" if worst <= bound else "fail",
+            "metric": worst, "bound": bound, "note": note}
+
+
+def _rel_deviation(got, ref):
+    return max(abs(got.p_success - ref.p_success) / ref.p_success,
+               abs(got.p_error - ref.p_error) / ref.p_error)
+
+
 def _check_oracle_grid(args, rng):
-    worst = 0.0
+    worst, note = 0.0, f"{args.grid_points}-point random grid, max abs deviation"
     try:
         for _ in range(args.grid_points):
             params = GaussianStateParams(
@@ -491,13 +501,8 @@ def _check_oracle_grid(args, rng):
             worst = max(worst, abs(a.p_success - b.p_success),
                         abs(a.p_error - b.p_error))
     except PrecisionError as exc:
-        return {"name": "gaussian-vs-fock-oracle", "status": "fail",
-                "metric": float("nan"), "bound": args.tol_oracle,
-                "note": f"precision error: {exc}"}
-    status = "pass" if worst <= args.tol_oracle else "fail"
-    return {"name": "gaussian-vs-fock-oracle", "status": status,
-            "metric": worst, "bound": args.tol_oracle,
-            "note": f"{args.grid_points}-point random grid, max abs deviation"}
+        worst, note = float("nan"), f"precision error: {exc}"
+    return _bound_row("gaussian-vs-fock-oracle", worst, args.tol_oracle, note)
 
 
 def _check_tmsv_series(args):
@@ -508,25 +513,17 @@ def _check_tmsv_series(args):
                 cfg = DetectionConfig(eta=eta, t_bs=0.5, dark_count_prob=dark)
                 a = multimode_pair_click_probs(ModeEnsemble((mu,)), cfg)
                 b = tmsv_pair_click_probs_series(mu, cfg)
-                worst = max(worst,
-                            abs(a.p_success - b.p_success) / b.p_success,
-                            abs(a.p_error - b.p_error) / b.p_error)
-    bound = 1e-10
-    return {"name": "tmsv-closed-form-vs-series", "status":
-            "pass" if worst <= bound else "fail", "metric": worst,
-            "bound": bound, "note": "relative deviation over a mu/eta/dark grid"}
+                worst = max(worst, _rel_deviation(a, b))
+    return _bound_row("tmsv-closed-form-vs-series", worst, 1e-10,
+                      "relative deviation over a mu/eta/dark grid")
 
 
 def _check_multimode_reduction(args):
     cfg = DetectionConfig(eta=0.42, t_bs=0.5)
     one = tmsv_pair_click_probs_series(0.2, cfg)
     many = multimode_pair_click_probs(ModeEnsemble((0.2, 0.0, 0.0)), cfg)
-    worst = max(abs(one.p_success - many.p_success) / one.p_success,
-                abs(one.p_error - many.p_error) / one.p_error)
-    bound = 1e-12
-    return {"name": "multimode-reduces-to-tmsv", "status":
-            "pass" if worst <= bound else "fail", "metric": worst,
-            "bound": bound, "note": "zero-padded ensemble equals the series sum"}
+    return _bound_row("multimode-reduces-to-tmsv", _rel_deviation(many, one), 1e-12,
+                      "zero-padded ensemble equals the series sum")
 
 
 def _check_poisson_limit(args):
@@ -536,12 +533,8 @@ def _check_poisson_limit(args):
     cfg = DetectionConfig(eta=0.6, t_bs=0.5)
     many = multimode_pair_click_probs(ModeEnsemble.uniform(mu, n), cfg)
     limit = poisson_pair_click_probs(mean_pairs, cfg)
-    worst = max(abs(many.p_success - limit.p_success) / limit.p_success,
-                abs(many.p_error - limit.p_error) / limit.p_error)
-    bound = 5e-3
-    return {"name": "many-mode-poisson-limit", "status":
-            "pass" if worst <= bound else "fail", "metric": worst,
-            "bound": bound, "note": f"{n} modes vs Poissonian closed form"}
+    return _bound_row("many-mode-poisson-limit", _rel_deviation(many, limit), 5e-3,
+                      f"{n} modes vs Poissonian closed form")
 
 
 def _mc_row(name, observed, expected, n, note):

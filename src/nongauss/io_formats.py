@@ -11,6 +11,7 @@ and every writer round-trips through its reader without loss.
 import csv
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -116,8 +117,9 @@ def _typed(path, name, value, kind):
         raise FormatError(
             f"{path}: field {name!r}: expected {wanted}, got {type(value).__name__}"
         )
-    # json.load accepts the non-standard literals Infinity and NaN
-    if isinstance(value, float) and not math.isfinite(value):
+    # json.load accepts the non-standard literals Infinity and NaN, and ints
+    # too large for a float
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise FormatError(f"{path}: field {name!r}: must be finite")
     return value
 

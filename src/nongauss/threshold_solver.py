@@ -380,11 +380,14 @@ class ThresholdCurve:
     def __post_init__(self):
         if self.kind not in ("single", "pair"):
             raise DomainError(f"unknown curve kind {self.kind!r}")
+        DetectionConfig(self.eta, self.t_bs)  # names a bad eta or t_bs
+        if self.n_modes < 0:
+            raise DomainError(f"n_modes must be >= 0, got {self.n_modes}")
         order = np.argsort(self.p_error)
         for name in ("alphas", "p_error", "p_success", "residuals"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float)[order])
         object.__setattr__(self, "params", tuple(self.params[i] for i in order))
-        if np.any(self.p_error <= 0) or np.any(self.p_success <= 0):
+        if not (np.all(self.p_error > 0) and np.all(self.p_success > 0)):  # NaN fails
             raise DomainError("curve probabilities must be positive for log interpolation")
 
     def value(self, p_error):

@@ -235,6 +235,9 @@ def test_analyze_malformed_counts(tmp_path, capsys):
     ("meta", [], "field 'meta': expected object"),
     ("error_count_b", "430", "field 'error_count_b': expected int/float, got str"),
     ("singles", {"a1": "1000"}, "field 'singles.a1': expected int/float, got str"),
+    # an int this large would reach the analyzer and overflow there
+    pytest.param("success_count", 10**400, "field 'success_count': must be finite",
+                 id="success_count-10**400"),
 ])
 def test_analyze_names_a_bad_counts_field(tmp_path, pair_file, capsys, field, value,
                                           named):

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from nongauss import PrecisionError
 from nongauss.photon_statistics import (
@@ -30,6 +31,28 @@ def test_squeezed_number_distribution():
     assert probs[3] == pytest.approx(0.0, abs=1e-20)
     assert probs[0] == pytest.approx(1.0 / math.cosh(r), rel=1e-12, abs=0.0)
     assert probs[2] / probs[0] == pytest.approx(0.5 * math.tanh(r) ** 2, rel=1e-12, abs=0.0)
+
+
+def _dense_reference(params, cutoff):
+    # the matrix route: both truncated generators exponentiated in full
+    a = np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
+    alpha = 0.5 * params.displacement_amplitude * np.exp(1j * params.relative_angle)
+    squeeze = expm(0.5 * params.squeezing * (a @ a - a.T @ a.T))
+    displace = expm(alpha * a.T - np.conj(alpha) * a)
+    return np.abs((displace @ squeeze)[:, 0]) ** 2
+
+
+def _validate_range_states():
+    rng = np.random.default_rng(1234)
+    return [GaussianStateParams(rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0),
+                                rng.uniform(0.0, np.pi)) for _ in range(6)]
+
+
+@pytest.mark.parametrize("params", [*_validate_range_states(), GaussianStateParams(6.0, 1.5)])
+def test_number_distribution_matches_dense_matrix_exponentials(params):
+    # at the automatic cutoff: 359 slots for d = 6, r = 1.5
+    probs = number_distribution(params)
+    assert np.max(np.abs(probs - _dense_reference(params, probs.size))) <= 1e-13
 
 
 def test_single_photon_cannot_double_click():

@@ -136,6 +136,23 @@ def test_curve_json_refuses_an_array_one_entry_short(tmp_path, field):
         read_curve_json(path)
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("eta", 7.0, "eta must lie in (0, 1], got 7.0"),
+    ("t_bs", -1, "t_bs must lie in (0, 1), got -1"),
+    ("n_modes", -3, "n_modes must be >= 0, got -3"),
+    ("p_error", [None] * 3, "curve probabilities must be positive"),
+])
+def test_curve_json_refuses_an_out_of_range_header_or_null_rates(tmp_path, field, value,
+                                                                  named):
+    path = tmp_path / "curve.json"
+    write_curve_json(path, _curve())
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {named}")):
+        read_curve_json(path)
+
+
 def test_curve_csv_roundtrip(tmp_path):
     path = tmp_path / "curve.csv"
     curve = _curve()

@@ -1,19 +1,23 @@
-"""scipy and mpmath load on first use, not with the package.
+"""No module imports scipy, and mpmath loads on first use.
 
 Every CLI run and every library read-back step imports ``nongauss.cli``;
-the ones that never run the Fock oracle (``validate``'s oracle rows) must
-not pay for scipy, and only the single-photon sweep's 50-digit
-re-evaluation loads mpmath.  Each run check starts a fresh interpreter,
-since this test process has loaded both long before; a static check of
-every module's imports keeps the two where they are.
+scipy is a test dependency only (the tests compare the ports against
+it), and only the single-photon sweep's 50-digit re-evaluation loads
+mpmath.  Each run check starts a fresh interpreter, since this test
+process has loaded both long before; a static check of every module's
+imports keeps scipy out and mpmath where it is, and a second one keeps
+the declared runtime dependencies equal to the packages imported.
 """
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 import nongauss
 
@@ -100,20 +104,20 @@ assert "blinking_factor" in report["blinking"], report["blinking"]
     assert _loaded_after(code, tmp_path) == []
 
 
-def test_monte_carlo_validation_loads_neither(tmp_path):
-    # mc-blinking-roundtrip fits peak areas; only the oracle rows need scipy
+def test_validation_loads_neither(tmp_path):
+    # the Fock oracle rows and mc-blinking-roundtrip's peak-area fit
     code = """\
 from nongauss import cli, io_formats
-cli.main(["validate", "--suite", "mc", "--pulses", "20000", "--out", "mc.json"])
-doc = io_formats.read_report_json("mc.json", schema="nongauss-validation-report")
-assert "mc-blinking-roundtrip" in [r["name"] for r in doc["checks"]], doc
+cli.main(["validate", "--suite", "all", "--pulses", "20000", "--out", "all.json"])
+doc = io_formats.read_report_json("all.json", schema="nongauss-validation-report")
+names = [r["name"] for r in doc["checks"]]
+assert "gaussian-vs-fock-oracle" in names and "mc-blinking-roundtrip" in names, doc
 """
     assert _loaded_after(code, tmp_path) == []
 
 
 # the one module that may import each, always inside a function
-LAZY_HOMES = {"scipy": "photon_statistics/fock_oracle.py",
-              "mpmath": "threshold_solver.py"}
+LAZY_HOMES = {"mpmath": "threshold_solver.py"}
 
 
 def _imports(tree, in_function=False):
@@ -128,14 +132,32 @@ def _imports(tree, in_function=False):
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
 
-def test_only_their_homes_import_scipy_and_mpmath_and_only_lazily():
+def _package_imports():
+    """(module path, package, inside a function) of every import in nongauss."""
     package = pathlib.Path(nongauss.__file__).parent
-    found = {name: [] for name in LAZY_HOMES}
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name, in_function in _imports(tree):
-            if name in found:
-                found[name].append((path.relative_to(package).as_posix(), in_function))
+            yield path.relative_to(package).as_posix(), name, in_function
+
+
+def test_no_module_imports_scipy_and_mpmath_only_lazily_at_its_home():
+    imports = list(_package_imports())
+    assert [(module, name) for module, name, _ in imports if name == "scipy"] == []
     for name, home in LAZY_HOMES.items():
-        assert found[name], f"no module imports {name}"
-        assert found[name] == [(home, True)] * len(found[name]), found[name]
+        found = [(module, lazy) for module, imported, lazy in imports if imported == name]
+        assert found, f"no module imports {name}"
+        assert found == [(home, True)] * len(found), found
+
+
+def test_runtime_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("nongauss is not imported from a source checkout")
+    with open(pyproject, "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in declared}
+    imported = {name for _, name, _ in _package_imports()
+                if name not in sys.stdlib_module_names and name != "nongauss"}
+    assert declared == imported
