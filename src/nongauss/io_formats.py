@@ -202,7 +202,11 @@ def _float_array(path, doc, name):
         if v is None:
             out.append(math.nan)
         elif isinstance(v, (int, float)):
-            out.append(float(v))
+            try:
+                out.append(float(v))
+            except OverflowError:
+                # json.load keeps ints too large for a float
+                raise FormatError(f"{path}: field {name!r}: must be finite") from None
         else:
             raise FormatError(f"{path}: field {name!r}: non-numeric entry {v!r}")
     return np.array(out)

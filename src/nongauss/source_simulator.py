@@ -54,8 +54,10 @@ class QdSourceConfig:
 
     def __post_init__(self):
         _check_rep_rate(self.rep_rate_hz)
-        if not (0.0 <= self.emission_prob <= 1.0):
-            raise DomainError("emission_prob must lie in [0, 1]")
+        # with no emission there is no generation rate to normalize by
+        if not (0.0 < self.emission_prob <= 1.0):
+            raise DomainError(
+                f"emission_prob must lie in (0, 1], got {self.emission_prob}")
         if not (0.0 < self.blinking_on_fraction <= 1.0):
             raise DomainError("blinking_on_fraction must lie in (0, 1]")
         if not (self.blinking_correlation_pulses > 0):
@@ -90,34 +92,37 @@ def _blocks(n_pulses):
 
 
 def _telegraph(rng, n, on_fraction, correlation_pulses):
-    """Exact two-state telegraph sample, vectorized.
+    """Exact two-state telegraph sample, as runs of one state.
 
     Each pulse keeps the previous state with probability
     exp(-1 / correlation) and otherwise redraws it from the stationary
     law, which reproduces the standard telegraph transition matrix.
-    Blocks restart from the stationary law.
+    Both n-long streams are drawn, keep first; a redraw starts a run
+    that lasts until the next one.  Blocks restart from the stationary
+    law.
     """
     lam = np.exp(-1.0 / correlation_pulses)
     keep = rng.random(n) < lam
     fresh = rng.random(n) < on_fraction
     keep[0] = False
-    idx = np.arange(n)
-    last_draw = np.maximum.accumulate(np.where(~keep, idx, -1))
-    return fresh[last_draw]
+    starts = np.flatnonzero(~keep)
+    return np.repeat(fresh[starts], np.diff(starts, append=n))
 
 
-def _route_clicks(rng, present, times, survival, t_bs):
+def _route_clicks(rng, n, idx, present, times, survival, t_bs):
     """Send photons with given emission times to a two-detector arm.
 
-    Returns click times per detector (inf where no click).  survival is
-    the per-photon probability of reaching the splitter, t_bs the share
-    transmitted to the first detector.
+    Works on the emitting pulses idx of an n-pulse block: present and
+    times hold one entry per emitting pulse, and each photon takes its
+    uniform from a full n-long draw, so the stream does not depend on
+    how many pulses emit.  Returns click times per detector (inf where
+    no click).  survival is the per-photon probability of reaching the
+    splitter, t_bs the share transmitted to the first detector.
     """
-    n = present[0].size
-    t1 = np.full(n, np.inf)
-    t2 = np.full(n, np.inf)
+    t1 = np.full(idx.size, np.inf)
+    t2 = np.full(idx.size, np.inf)
     for exists, t in zip(present, times):
-        u = rng.random(n)
+        u = rng.random(n)[idx]
         hit1 = exists & (u < survival * t_bs)
         hit2 = exists & ~hit1 & (u < survival)
         t1[hit1] = np.minimum(t1[hit1], t[hit1])
@@ -141,6 +146,13 @@ def simulate_qd_pairs(source, detection, n_pulses, seed, collect_tags=False):
     times chained through the cascade.  Clicks within the coincidence
     window form coincidences.  Counts are normalized per started
     cascade: generation_rate = rep_rate * on_fraction * emission_prob.
+
+    Every block draws its n-long streams in a fixed order (blinking
+    keep and state, emission, re-excitation, the four cascade times,
+    then one uniform per photon and arm) and keeps only the entries of
+    the pulses that emit: no other pulse can click.  That order is part
+    of the output contract.  Tags come sorted by pulse, and within a
+    pulse by detector name.
     """
     if n_pulses <= 0:
         raise DomainError(f"n_pulses must be > 0, got {n_pulses}")
@@ -155,21 +167,22 @@ def simulate_qd_pairs(source, detection, n_pulses, seed, collect_tags=False):
         rng = np.random.default_rng((seed, block_index))
         on = _telegraph(rng, n, source.blinking_on_fraction,
                         source.blinking_correlation_pulses)
-        emit1 = on & (rng.random(n) < source.emission_prob)
-        emit2 = emit1 & (rng.random(n) < q_double)
+        idx = np.flatnonzero(on & (rng.random(n) < source.emission_prob))
+        emit2 = rng.random(n)[idx] < q_double
 
         # cascade times: arm-a photon first, then the arm-b photon;
         # a re-excited second cascade starts when the first one ends
-        t_a1p = rng.exponential(source.xx_lifetime_ps, n)
-        t_b1p = t_a1p + rng.exponential(source.x_lifetime_ps, n)
-        t_a2p = t_b1p + rng.exponential(source.xx_lifetime_ps, n)
-        t_b2p = t_a2p + rng.exponential(source.x_lifetime_ps, n)
+        t_a1p = rng.exponential(source.xx_lifetime_ps, n)[idx]
+        t_b1p = t_a1p + rng.exponential(source.x_lifetime_ps, n)[idx]
+        t_a2p = t_b1p + rng.exponential(source.xx_lifetime_ps, n)[idx]
+        t_b2p = t_a2p + rng.exponential(source.x_lifetime_ps, n)[idx]
 
+        # every pulse in idx emits a first cascade
         ta1, ta2 = _route_clicks(
-            rng, (emit1, emit2), (t_a1p, t_a2p), survival, detection.t_bs
+            rng, n, idx, (True, emit2), (t_a1p, t_a2p), survival, detection.t_bs
         )
         tb1, tb2 = _route_clicks(
-            rng, (emit1, emit2), (t_b1p, t_b2p), survival, detection.t_bs_b
+            rng, n, idx, (True, emit2), (t_b1p, t_b2p), survival, detection.t_bs_b
         )
 
         c_s += int(np.sum(_coincide(ta1, tb1, window)))
@@ -180,13 +193,14 @@ def simulate_qd_pairs(source, detection, n_pulses, seed, collect_tags=False):
             hit = np.isfinite(t)
             clicks[name] += int(np.sum(hit))
             if collect_tags:
-                tags["pulse_index"].append(base + np.flatnonzero(hit))
+                tags["pulse_index"].append(base + idx[hit])
                 tags["detector"].append(np.full(int(hit.sum()), name, dtype="U2"))
                 tags["time_ps"].append(t[hit])
 
     if collect_tags:
         tags = {k: np.concatenate(v) for k, v in tags.items()}
-        order = np.lexsort((tags["detector"], tags["pulse_index"]))
+        # within a pulse, tags were appended in a1, a2, b1, b2 order
+        order = np.argsort(tags["pulse_index"], kind="stable")
         tags = {k: v[order] for k, v in tags.items()}
 
     duration = n_pulses / source.rep_rate_hz

@@ -295,6 +295,16 @@ def test_simulate_rejects_bad_rep_rate(tmp_path, capsys, source, rate):
     assert not out.exists()
 
 
+def test_simulate_rejects_no_emission(tmp_path, capsys):
+    # named before any pulse is drawn, not as the zero rate derived from it
+    out = tmp_path / "c.json"
+    tags = tmp_path / "t.txt"
+    assert main(["simulate", "--source", "qd", "--seed", "1", "--pulses", "3000000",
+                 "--emission-prob", "0", "--out", str(out), "--tags", str(tags)]) == 1
+    assert "emission_prob must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists() and not tags.exists()
+
+
 def test_simulate_missing_seed(capsys):
     assert main(["simulate", "--source", "tmsv", "--out", "x.json"]) == 1
     assert "seed" in capsys.readouterr().err

@@ -141,6 +141,9 @@ def test_curve_json_refuses_an_array_one_entry_short(tmp_path, field):
     ("t_bs", -1, "t_bs must lie in (0, 1), got -1"),
     ("n_modes", -3, "n_modes must be >= 0, got -3"),
     ("p_error", [None] * 3, "curve probabilities must be positive"),
+    # ints beyond float range survive json.load
+    *[(name, [1e-4, 10**400, 1e-8], f"field {name!r}: must be finite")
+      for name in ("alphas", "p_error", "p_success", "residuals")],
 ])
 def test_curve_json_refuses_an_out_of_range_header_or_null_rates(tmp_path, field, value,
                                                                   named):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,9 @@ def test_qd_config_validation():
         QdSourceConfig(coincidence_window_ps=-1.0)
     with pytest.raises(DomainError):
         QdSourceConfig(extraction_efficiency=1.5)
+    # no emission leaves no generation rate to normalize the counts by
+    with pytest.raises(DomainError, match=re.escape("emission_prob must lie in (0, 1]")):
+        QdSourceConfig(emission_prob=0.0)
 
 
 def test_tmsv_deterministic_across_block_boundary():
@@ -140,6 +145,101 @@ def test_tag_stream_schema_and_order():
     assert np.all(tags["time_ps"] > 0)
     n_b1 = int(np.sum(tags["detector"] == "b1"))
     assert n_b1 == run.counts.singles["b1"]
+
+
+def test_tags_of_one_pulse_come_in_detector_order():
+    # every pulse emits and most click on several detectors
+    src = QdSourceConfig(emission_prob=1.0, blinking_on_fraction=1.0)
+    det = DetectionConfig(eta=1.0, t_bs=0.5)
+    tags = simulate_qd_pairs(src, det, 20_000, seed=4, collect_tags=True).tags
+    _, per_pulse = np.unique(tags["pulse_index"], return_counts=True)
+    assert per_pulse.max() >= 3
+    order = np.lexsort((tags["detector"], tags["pulse_index"]))
+    assert np.array_equal(order, np.arange(order.size))
+
+
+def _reference_qd_pairs(source, detection, n_pulses, seed):
+    """The full-block simulator: every pulse through every step.
+
+    An independent slow route for simulate_qd_pairs, which draws the
+    same streams but keeps only the emitting pulses after emission.
+    """
+    q_double = source.g2_contamination * source.emission_prob / 2.0
+    survival = source.extraction_efficiency * detection.eta
+    window = source.coincidence_window_ps
+
+    def telegraph(rng, n):
+        keep = rng.random(n) < np.exp(-1.0 / source.blinking_correlation_pulses)
+        fresh = rng.random(n) < source.blinking_on_fraction
+        keep[0] = False
+        last_draw = np.maximum.accumulate(np.where(~keep, np.arange(n), -1))
+        return fresh[last_draw]
+
+    def route(rng, present, times, t_bs):
+        n = present[0].size
+        t1 = np.full(n, np.inf)
+        t2 = np.full(n, np.inf)
+        for exists, t in zip(present, times):
+            u = rng.random(n)
+            hit1 = exists & (u < survival * t_bs)
+            hit2 = exists & ~hit1 & (u < survival)
+            t1[hit1] = np.minimum(t1[hit1], t[hit1])
+            t2[hit2] = np.minimum(t2[hit2], t[hit2])
+        return t1, t2
+
+    def coincide(ta, tb):
+        both = np.isfinite(ta) & np.isfinite(tb)
+        delta = np.where(both, ta, 0.0) - np.where(both, tb, 0.0)
+        return int(np.sum(both & (np.abs(delta) <= window)))
+
+    coincidences = [0, 0, 0]
+    clicks = {"a1": 0, "a2": 0, "b1": 0, "b2": 0}
+    tags = {"pulse_index": [], "detector": [], "time_ps": []}
+    for block_index, start in enumerate(range(0, n_pulses, BLOCK)):
+        n = min(BLOCK, n_pulses - start)
+        rng = np.random.default_rng((seed, block_index))
+        emit1 = telegraph(rng, n) & (rng.random(n) < source.emission_prob)
+        emit2 = emit1 & (rng.random(n) < q_double)
+        t_a1p = rng.exponential(source.xx_lifetime_ps, n)
+        t_b1p = t_a1p + rng.exponential(source.x_lifetime_ps, n)
+        t_a2p = t_b1p + rng.exponential(source.xx_lifetime_ps, n)
+        t_b2p = t_a2p + rng.exponential(source.x_lifetime_ps, n)
+        ta1, ta2 = route(rng, (emit1, emit2), (t_a1p, t_a2p), detection.t_bs)
+        tb1, tb2 = route(rng, (emit1, emit2), (t_b1p, t_b2p), detection.t_bs_b)
+        for i, (ta, tb) in enumerate(((ta1, tb1), (ta1, ta2), (tb1, tb2))):
+            coincidences[i] += coincide(ta, tb)
+        for name, t in (("a1", ta1), ("a2", ta2), ("b1", tb1), ("b2", tb2)):
+            hit = np.isfinite(t)
+            clicks[name] += int(np.sum(hit))
+            tags["pulse_index"].append(start + np.flatnonzero(hit))
+            tags["detector"].append(np.full(int(hit.sum()), name, dtype="U2"))
+            tags["time_ps"].append(t[hit])
+    tags = {k: np.concatenate(v) for k, v in tags.items()}
+    order = np.lexsort((tags["detector"], tags["pulse_index"]))
+    return coincidences, clicks, {k: v[order] for k, v in tags.items()}
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("source, detection, n_pulses", [
+    # every pulse emits, and the run crosses a block boundary
+    (QdSourceConfig(emission_prob=1.0, blinking_on_fraction=1.0),
+     DetectionConfig(eta=1.0, t_bs=0.5), BLOCK + 501),
+    (QdSourceConfig(), DetectionConfig(eta=0.1467, t_bs=0.5), BLOCK + 501),
+    (QdSourceConfig(extraction_efficiency=0.5, g2_contamination=2.0),
+     DetectionConfig(eta=0.8, t_bs=0.3, t_bs_b=0.7), 200_000),
+    (QdSourceConfig(emission_prob=1e-12), DetectionConfig(eta=0.5, t_bs=0.5), 1000),
+    (QdSourceConfig(), DetectionConfig(eta=0.5, t_bs=0.5), 1),
+], ids=["all-emit", "defaults", "lossy-asymmetric", "none-emit", "one-pulse"])
+def test_qd_matches_the_full_block_route(source, detection, n_pulses, seed):
+    run = simulate_qd_pairs(source, detection, n_pulses, seed, collect_tags=True)
+    coincidences, clicks, tags = _reference_qd_pairs(source, detection, n_pulses, seed)
+    c = run.counts
+    assert [c.success_count, c.error_count_a, c.error_count_b] == coincidences
+    assert c.singles == clicks
+    assert run.tags.keys() == tags.keys()
+    for name, expected in tags.items():
+        assert run.tags[name].dtype == expected.dtype
+        assert np.array_equal(run.tags[name], expected)
 
 
 def test_blinking_roundtrip_from_tags():
